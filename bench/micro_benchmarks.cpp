@@ -53,12 +53,27 @@ void BM_RsaEncryptValue(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaEncryptValue);
 
+/// Cycles through 4096 ciphertexts under 256 keys: with one ciphertext under
+/// one key the branch predictor learns the exponent and the loop under-reports
+/// what a cover reception (a fresh key and ciphertext each time) costs.
 void BM_RsaDecryptValue(benchmark::State& state) {
+  constexpr std::size_t kKeys = 256;
+  constexpr std::size_t kCiphertexts = 4096;
   util::Rng rng(1);
-  const auto kp = crypto::generate_keypair(rng);
-  const std::uint64_t c = crypto::rsa_encrypt_value(kp.pub, 12345);
+  std::vector<crypto::PrivateKey> keys;
+  keys.reserve(kKeys);
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    keys.push_back(crypto::generate_keypair(rng).priv);
+  }
+  std::vector<std::uint64_t> ciphertexts(kCiphertexts);
+  for (std::size_t i = 0; i < kCiphertexts; ++i) {
+    ciphertexts[i] = rng.below(keys[i % kKeys].n());
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::rsa_decrypt_value(kp.priv, c));
+    benchmark::DoNotOptimize(
+        crypto::rsa_decrypt_value(keys[i % kKeys], ciphertexts[i]));
+    i = (i + 1) % kCiphertexts;
   }
 }
 BENCHMARK(BM_RsaDecryptValue);

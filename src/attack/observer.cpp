@@ -58,6 +58,8 @@ void PassiveObserver::on_transmit(const net::Node& sender,
 
 void PassiveObserver::on_deliver(const net::Node& receiver,
                                  const net::Packet& pkt, sim::Time when) {
+  // Cover receptions feed no analysis (see the class comment).
+  if (pkt.kind == net::PacketKind::Cover) return;
   record(EventKind::Receive, receiver, pkt, when);
 }
 

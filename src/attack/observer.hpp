@@ -45,10 +45,15 @@ struct ObservedEvent {
   net::NodeId true_dest = net::kInvalidNode;
 };
 
-/// Records protocol traffic (Data/Confirm/Nak/Cover; hellos excluded —
-/// they carry no flow information). Optionally restricted to events within
-/// `vicinity_radius` of any of a set of monitor positions, modeling a
-/// bounded adversary; by default the adversary is global (strongest case).
+/// Records protocol traffic: transmissions and receptions of Data, Confirm
+/// and Nak frames, and transmissions of Cover frames. It skips hellos
+/// (they carry no flow information) and Cover receptions: a cover carries
+/// no flow, uid or destination, and the only analysis that reads covers
+/// (the timing attack) pools their transmissions, so logging one event per
+/// neighbour of every cover broadcast would dominate the log and feed
+/// nothing. Optionally restricted to events within `vicinity_radius` of any
+/// of a set of monitor positions, modeling a bounded adversary; by default
+/// the adversary is global (strongest case).
 class PassiveObserver final : public net::TraceListener {
  public:
   explicit PassiveObserver(net::Network& network) : net_(network) {}

@@ -2,7 +2,8 @@
 
 /// \file pubkey.hpp
 /// Public-key substrate: textbook RSA over 64-bit primes, built from
-/// scratch (Miller-Rabin key generation, 128-bit modular exponentiation).
+/// scratch (Miller-Rabin key generation, 128-bit modular exponentiation for
+/// the public op, CRT with 32-bit Montgomery arithmetic for the private op).
 ///
 /// The paper's nodes use RSA to (a) wrap the session key K_s under the
 /// destination's public key, (b) encrypt the source-zone field L_{Z_S},
@@ -23,6 +24,9 @@ class Rng;
 
 namespace alert::crypto {
 
+/// The public exponent of every generated key.
+inline constexpr std::uint64_t kPublicExponent = 65537;
+
 struct PublicKey {
   std::uint64_t n = 0;  ///< modulus (product of two 32-bit-ish primes)
   std::uint64_t e = 0;  ///< public exponent
@@ -30,9 +34,30 @@ struct PublicKey {
   constexpr bool operator==(const PublicKey&) const = default;
 };
 
+/// The private key in CRT form: d plus what key generation derives from the
+/// primes, so that decryption is two half-width exponentiations (mod p and
+/// mod q, both < 2^32) in Montgomery form with R = 2^32, recombined by
+/// Garner's formula — no 128-bit division per step. n = p * q is derived,
+/// not stored, which keeps the key at 48 bytes (every node holds one).
 struct PrivateKey {
-  std::uint64_t n = 0;
   std::uint64_t d = 0;  ///< private exponent
+  std::uint32_t p = 0;
+  std::uint32_t q = 0;
+  std::uint32_t dp = 0;       ///< d mod (p - 1)
+  std::uint32_t dq = 0;       ///< d mod (q - 1)
+  std::uint32_t q_inv = 0;    ///< q^-1 mod p
+  std::uint32_t q_inv_r = 0;  ///< q^-1 * R mod p
+  std::uint32_t p_minv = 0;   ///< p^-1 mod R
+  std::uint32_t q_minv = 0;   ///< q^-1 mod R
+  std::uint32_t p_r3 = 0;     ///< R^3 mod p
+  std::uint32_t q_r3 = 0;     ///< R^3 mod q
+
+  [[nodiscard]] constexpr std::uint64_t n() const {
+    return static_cast<std::uint64_t>(p) * q;
+  }
+  [[nodiscard]] constexpr PublicKey public_key() const {
+    return PublicKey{n(), kPublicExponent};
+  }
 };
 
 struct KeyPair {
@@ -44,7 +69,8 @@ struct KeyPair {
 /// within u64). Deterministic given the RNG state.
 [[nodiscard]] KeyPair generate_keypair(util::Rng& rng, int bits = 62);
 
-/// Raw RSA on a single residue value (< n). Asserts value < n.
+/// Raw RSA on a single residue value (< n). Asserts value < n. Decryption
+/// equals pow_mod(value, priv.d, priv.n()) for every value < n.
 [[nodiscard]] std::uint64_t rsa_encrypt_value(const PublicKey& pub,
                                               std::uint64_t value);
 [[nodiscard]] std::uint64_t rsa_decrypt_value(const PrivateKey& priv,

@@ -4,17 +4,15 @@
 
 namespace alert::net {
 
+static_assert(sizeof(Node) <= 152,
+              "Node outgrew one 160-byte heap chunk; see its layout note");
+
 void Node::set_motion(util::Vec2 start_pos, sim::Time start_time,
                       util::Vec2 velocity, sim::Time end_time) {
   seg_start_pos_ = start_pos;
   seg_start_ = start_time;
   velocity_ = velocity;
   seg_end_ = end_time;
-}
-
-util::Vec2 Node::position(sim::Time t) const {
-  const sim::Time effective = std::clamp(t, seg_start_, seg_end_);
-  return seg_start_pos_ + velocity_ * (effective - seg_start_);
 }
 
 void Node::observe_neighbor(const NeighborInfo& info, sim::Time now) {

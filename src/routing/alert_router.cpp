@@ -261,7 +261,8 @@ void AlertRouter::handle(net::Node& self, const net::Packet& pkt) {
       // Attempt to decrypt the TTL with our private key; cover packets
       // never yield the magic tag, so they die here (Sec. 2.6).
       if (pkt.alert && pkt.alert->ttl_enc) {
-        const std::uint64_t ttl_ct = *pkt.alert->ttl_enc % self.private_key().n;
+        const std::uint64_t ttl_ct =
+            *pkt.alert->ttl_enc % self.private_key().n();
         const std::uint64_t v =
             crypto::rsa_decrypt_value(self.private_key(), ttl_ct);
         if ((v >> 8) == kTtlMagic) {
@@ -287,7 +288,7 @@ void AlertRouter::handle(net::Node& self, const net::Packet& pkt) {
   // exactly how covers die — so we drop silently.
   if (pkt.alert->ttl_enc) {
     const std::uint64_t v = crypto::rsa_decrypt_value(
-        self.private_key(), *pkt.alert->ttl_enc % self.private_key().n);
+        self.private_key(), *pkt.alert->ttl_enc % self.private_key().n());
     if ((v >> 8) != kTtlMagic) return;
     charge_crypto(self, net_.config().crypto_cost.verify_s);
   }

@@ -2,22 +2,21 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "net/mobility.hpp"
 #include "sim/simulator.hpp"  // alert-lint: allow(module-layering) test replays traces through a live simulator
+#include "temp_dir.hpp"
 
 namespace alert::attack {
 namespace {
 
+/// A trace file in a private directory, so concurrently running cases never
+/// write the same file.
 struct TempPath {
-  TempPath() {
-    path = ::testing::TempDir() + "/alertsim_trace_test.jsonl";
-  }
-  ~TempPath() { std::remove(path.c_str()); }
-  std::string path;
+  test_support::TempDir dir{"alertsim-trace-writer-test-"};
+  std::string path = dir.file("trace.jsonl");
 };
 
 TEST(TraceWriter, PacketKindTokens) {

@@ -17,6 +17,7 @@
 #include "campaign/result_codec.hpp"
 #include "campaign/spec.hpp"
 #include "core/scenario_codec.hpp"
+#include "temp_dir.hpp"
 
 namespace alert::campaign {
 namespace {
@@ -58,25 +59,7 @@ std::string manifest_bytes(const obs::RunManifest& manifest) {
   return out.str();
 }
 
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_((fs::path(::testing::TempDir()) /
-               (tag + std::to_string(counter_++)))
-                  .string()) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  static inline int counter_ = 0;
-  std::string path_;
-};
+using test_support::TempDir;
 
 // --- result codec ----------------------------------------------------------
 

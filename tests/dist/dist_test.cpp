@@ -32,31 +32,14 @@
 #include "dist/queue.hpp"
 #include "dist/reclaim.hpp"
 #include "dist/worker.hpp"
+#include "temp_dir.hpp"
 
 namespace alert::dist {
 namespace {
 
 namespace fs = std::filesystem;
 
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_((fs::path(::testing::TempDir()) /
-               (tag + std::to_string(counter_++)))
-                  .string()) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  static inline int counter_ = 0;
-  std::string path_;
-};
+using test_support::TempDir;
 
 /// A small sweep whose unit keys are real (distinct configs per point) but
 /// whose execution the tests replace with synthetic results.

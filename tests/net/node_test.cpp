@@ -16,7 +16,7 @@ TEST(Node, IdentityAccessors) {
   const Node n = make_node(7);
   EXPECT_EQ(n.id(), 7u);
   EXPECT_EQ(n.mac_address(), 0x020000000007ULL);
-  EXPECT_EQ(n.public_key().n, n.private_key().n);
+  EXPECT_EQ(n.public_key().n, n.private_key().n());
 }
 
 TEST(Node, PositionInterpolatesAlongSegment) {

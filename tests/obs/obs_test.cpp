@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -18,15 +17,16 @@
 #include "obs/profile.hpp"
 #include "obs/series.hpp"
 #include "obs/trace.hpp"
+#include "temp_dir.hpp"
 
 namespace alert::obs {
 namespace {
 
+/// A file in a private directory, so concurrently running cases never
+/// share one.
 struct TempPath {
-  explicit TempPath(const char* name) {
-    path = ::testing::TempDir() + "/" + name;
-  }
-  ~TempPath() { std::remove(path.c_str()); }
+  explicit TempPath(const char* name) : path(dir.file(name)) {}
+  test_support::TempDir dir{"alertsim-obs-test-"};
   std::string path;
 };
 
