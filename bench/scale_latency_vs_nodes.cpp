@@ -1,22 +1,15 @@
 // scale_latency_vs_nodes: the fig14a-style curve continued past the paper's
-// 400-node x-axis into alert::scale territory. Runs one ALERT replication
-// per population (default 10k and 100k nodes; 1M is opt-in — it needs a few
-// GB of RSS and minutes of wall time) with every scale backend on (spatial
-// grid, calendar event queue, pooled delivery frames) at the paper's
-// density (the arena grows as sqrt(n/200) km so neighbourhoods stay at
-// Sec. 5.2 scale), and writes one RunManifest with the latency and
+// 400-node x-axis. Runs one ALERT replication per population (default 10k
+// and 100k nodes) at the paper's density (the arena grows as sqrt(n/200) km
+// so neighbourhoods stay at Sec. 5.2 scale, and the network indexes nodes
+// in its spatial grid), and writes one RunManifest with the latency and
 // events/s series, per-replication digests, and the per-subsystem
 // wall-clock self-profile (net.query isolates the neighbour index).
 //
 // Usage:
-//   scale_latency_vs_nodes [--nodes 10000,100000] [--million]
-//                          [--duration 5] [--no-scale-backends]
+//   scale_latency_vs_nodes [--nodes 10000,100000] [--duration 5]
 //                          [--out scale_latency_manifest.json] [--peak-rss]
 //                          [--log-level L]
-//
-// --no-scale-backends reruns the identical workload on the linear-scan /
-// binary-heap / malloc defaults (digests must match; see
-// tests/integration/scale_equivalence_test.cpp for the enforced version).
 
 #include <cstdio>
 #include <string>
@@ -39,9 +32,8 @@ int usage(const char* msg) {
     std::fprintf(stderr, "scale_latency_vs_nodes: %s\n", msg);
   }
   std::fprintf(stderr,
-               "usage: scale_latency_vs_nodes [--nodes N,N,...] [--million]\n"
-               "       [--duration S] [--no-scale-backends] [--out FILE]\n"
-               "       [--peak-rss] [--log-level L]\n");
+               "usage: scale_latency_vs_nodes [--nodes N,N,...] [--duration S]\n"
+               "       [--out FILE] [--peak-rss] [--log-level L]\n");
   return 2;
 }
 
@@ -74,9 +66,7 @@ int main(int argc, char** argv) {
 
   const std::string nodes_arg =
       args->get("nodes", std::string("10000,100000"));
-  const bool million = args->get("million", false);
   const double duration_s = args->get("duration", 5.0);
-  const bool scale_backends = !args->get("no-scale-backends", false);
   const std::string out_path =
       args->get("out", std::string("scale_latency_manifest.json"));
   const bool record_rss = args->get("peak-rss", false);
@@ -95,22 +85,13 @@ int main(int argc, char** argv) {
   if (!parse_node_list(nodes_arg, &node_counts)) {
     return usage("--nodes wants a comma-separated list of positive counts");
   }
-  if (million) node_counts.push_back(1'000'000);
-
-  scale::Backends backends;
-  if (scale_backends) {
-    backends.grid = true;
-    backends.calendar = true;
-    backends.pool_packets = true;
-  }
 
   obs::RunManifest manifest;
   manifest.name = "scale_latency_vs_nodes";
-  manifest.title = "ALERT latency vs. nodes (alert::scale arena)";
+  manifest.title = "ALERT latency vs. nodes (paper-density arena)";
   manifest.x_label = "nodes";
   manifest.y_label = "latency (s)";
   manifest.add_param("duration_s", std::to_string(duration_s));
-  manifest.add_param("scale_backends", scale_backends ? "true" : "false");
 
   util::Series latency;
   latency.name = "ALERT";
@@ -118,8 +99,7 @@ int main(int argc, char** argv) {
   events_per_s.name = "events_per_s";
 
   for (const std::size_t n : node_counts) {
-    core::ScenarioConfig config =
-        perf::scale_scenario(n, duration_s, backends);
+    core::ScenarioConfig config = perf::scale_scenario(n, duration_s);
     config.obs.profile = true;  // per-subsystem scopes, incl. net.query
     if (manifest.seed == 0) manifest.seed = config.seed;
     ALERT_LOG_INFO("scale bench: %zu nodes, %.1f s sim time...", n,

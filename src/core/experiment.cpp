@@ -169,12 +169,6 @@ RunResult run_once(const ScenarioConfig& config,
                    std::uint64_t replication_index) {
   validate_scenario(config);
   sim::Simulator simulator;
-  // Backend selection must precede the first schedule (it is a container
-  // swap); both backends pop the identical (time, seq) order, so this
-  // cannot change the digest — only the asymptotics at scale.
-  if (config.scale.calendar) {
-    simulator.set_queue_backend(sim::QueueBackend::Calendar);
-  }
   // The profiler must be attached before the Network is built: the Network
   // constructor (and every router constructor) resolves its scope ids from
   // sim.profiler() exactly once.

@@ -24,7 +24,6 @@ net::NetworkConfig ScenarioConfig::network_config() const {
   cfg.pseudonym_period_s = pseudonym_period_s;
   cfg.crypto_cost = crypto_cost;
   cfg.faults = faults;
-  cfg.scale = scale;
   return cfg;
 }
 

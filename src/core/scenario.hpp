@@ -3,7 +3,9 @@
 /// \file scenario.hpp
 /// Experiment scenario description: one struct capturing every knob of the
 /// paper's evaluation setup (Sec. 5.2) so each figure bench is a small
-/// parameter sweep over ScenarioConfig.
+/// parameter sweep over ScenarioConfig. Simulator internals get no knob
+/// here: `field` and `radio_range_m` alone decide whether net::Network
+/// answers range queries from a spatial grid (docs/SCALE.md).
 
 #include <cstdint>
 #include <string>
@@ -57,13 +59,6 @@ struct ScenarioConfig {
   // All-off by default — and an all-off plan is invisible: same RNG
   // streams, same digests, same canonical dump as before faults existed.
   faults::FaultPlan faults;
-
-  // Scale backends (src/scale): spatial grid, calendar event queue, pooled
-  // delivery frames. All-off by default and equally invisible (no `scale.*`
-  // canonical keys, no allocations); with flags on, digests stay
-  // bit-identical — the backends change complexity, not behaviour
-  // (docs/SCALE.md).
-  scale::Backends scale;
 
   // Traffic: UDP/CBR, 512-byte packets, 10 random S-D pairs, one packet
   // every 2 s (Sec. 5.2).

@@ -259,15 +259,6 @@ const std::map<std::string, Setter, std::less<>>& setters() {
     m["mac.arq.ack_bytes"] = [](ScenarioConfig& c, std::string_view v) {
       return parse_size_strict(v, &c.mac.arq.ack_bytes);
     };
-    m["scale.grid"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_bool_strict(v, &c.scale.grid);
-    };
-    m["scale.calendar"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_bool_strict(v, &c.scale.calendar);
-    };
-    m["scale.pool_packets"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_bool_strict(v, &c.scale.pool_packets);
-    };
     return m;
   }();
   return kSetters;
@@ -427,15 +418,6 @@ std::string canonical_scenario(const ScenarioConfig& c) {
     put("mac.arq.ack_timeout_s", fmt_double(c.mac.arq.ack_timeout_s));
     put("mac.arq.backoff_base_s", fmt_double(c.mac.arq.backoff_base_s));
     put("mac.arq.ack_bytes", std::to_string(c.mac.arq.ack_bytes));
-  }
-
-  // Scale backends: same conditional pattern — all-off is provably inert
-  // (nothing allocated, no RNG draw or event changed), and an active
-  // combination emits every flag so distinct combinations never collide.
-  if (c.scale.any()) {
-    put("scale.grid", fmt_bool(c.scale.grid));
-    put("scale.calendar", fmt_bool(c.scale.calendar));
-    put("scale.pool_packets", fmt_bool(c.scale.pool_packets));
   }
 
   put("residency_sample_period_s", fmt_double(c.residency_sample_period_s));

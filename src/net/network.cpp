@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "crypto/sha1.hpp"
 
@@ -54,6 +55,13 @@ PacketFate fate_for(DropReason why) {
   return PacketFate::Dropped;
 }
 
+bool Network::selects_grid(util::Rect field, double radio_range_m) {
+  const auto cells = [radio_range_m](double extent) {
+    return std::max(1.0, std::ceil(extent / radio_range_m));
+  };
+  return cells(field.width()) * cells(field.height()) >= kGridMinCells;
+}
+
 Network::Network(sim::Simulator& simulator, NetworkConfig config,
                  std::unique_ptr<MobilityModel> mobility, util::Rng rng,
                  sim::Time horizon)
@@ -94,13 +102,10 @@ Network::Network(sim::Simulator& simulator, NetworkConfig config,
   handlers_.assign(nodes_.size(), nullptr);
 
   delivery_ids_.resize(nodes_.size());
-  if (config_.scale.grid) {
+  if (selects_grid(config_.field, config_.radio_range_m)) {
     grid_ = std::make_unique<scale::SpatialGrid>(
         config_.field, config_.radio_range_m,
         static_cast<std::uint32_t>(nodes_.size()));
-  }
-  if (config_.scale.pool_packets) {
-    packet_pool_ = std::make_unique<scale::SlabPool<PooledFrame>>();
   }
 
   mobility_->initialize(nodes_, rng_);
@@ -128,66 +133,52 @@ Network::Network(sim::Simulator& simulator, NetworkConfig config,
 
 Network::~Network() = default;
 
+template <typename Visit>
+std::size_t Network::for_each_in_range(util::Vec2 center, double radius,
+                                       sim::Time t, Visit&& visit) const {
+  // One exact filter for both paths: the grid only narrows the candidates,
+  // so it keeps exactly the ids the scan keeps. The unconditional add keeps
+  // the scan's match count branch-free.
+  const double r2 = radius * radius;
+  std::size_t found = 0;
+  const auto filter = [&](const Node& n) {
+    const bool in_range = util::distance_sq(n.position(t), center) <= r2;
+    if (in_range) visit(n.id());
+    found += in_range ? 1 : 0;
+  };
+  if (grid_ != nullptr) {
+    grid_->for_each_candidate(
+        center, radius, [&](std::uint32_t id) { filter(*nodes_[id]); });
+  } else {
+    for (const auto& n : nodes_) filter(*n);
+  }
+  return found;
+}
+
 std::vector<NodeId> Network::nodes_within(util::Vec2 center, double radius,
                                           sim::Time t) const {
   std::vector<NodeId> out;
-  if (grid_ != nullptr) {
-    // The grid's candidates pass the same exact distance filter the scan
-    // applies, so after the ascending sort the result is identical.
-    out.resize(nodes_.size());
-    const std::size_t found = grid_->collect_in_disc(
-        center, radius,
-        [this, t](std::uint32_t id) { return nodes_[id]->position(t); },
-        out.data());
-    out.resize(found);
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-  const double r2 = radius * radius;
-  for (const auto& n : nodes_) {
-    if (util::distance_sq(n->position(t), center) <= r2) {
-      out.push_back(n->id());
-    }
-  }
+  for_each_in_range(center, radius, t,
+                    [&out](NodeId id) { out.push_back(id); });
+  // The grid visits in cell order; restore the scan's ascending ids.
+  if (grid_ != nullptr) std::sort(out.begin(), out.end());
   return out;
 }
 
 std::size_t Network::neighbour_count(util::Vec2 center, double radius,
                                      sim::Time t) const {
   ALERT_OBS_TIMED(sim_.profiler(), query_scope_);
-  if (grid_ != nullptr) {
-    return grid_->count_in_disc(center, radius, [this, t](std::uint32_t id) {
-      return nodes_[id]->position(t);
-    });
-  }
-  const double r2 = radius * radius;
-  std::size_t count = 0;
-  for (const auto& n : nodes_) {
-    if (util::distance_sq(n->position(t), center) <= r2) ++count;
-  }
-  return count;
+  return for_each_in_range(center, radius, t, [](NodeId) {});
 }
 
 std::size_t Network::gather_receivers(util::Vec2 center, double radius,
                                       sim::Time t) {
   ALERT_OBS_TIMED(sim_.profiler(), query_scope_);
-  if (grid_ != nullptr) {
-    const std::size_t found = grid_->collect_in_disc(
-        center, radius,
-        [this, t](std::uint32_t id) { return nodes_[id]->position(t); },
-        delivery_ids_.data());
-    std::sort(delivery_ids_.begin(),
-              delivery_ids_.begin() + static_cast<std::ptrdiff_t>(found));
-    return found;
-  }
-  const double r2 = radius * radius;
-  std::size_t count = 0;
-  for (const auto& n : nodes_) {
-    if (util::distance_sq(n->position(t), center) <= r2) {
-      delivery_ids_[count++] = n->id();
-    }
-  }
-  return count;
+  NodeId* const first = delivery_ids_.data();
+  NodeId* last = first;
+  for_each_in_range(center, radius, t, [&last](NodeId id) { *last++ = id; });
+  if (grid_ != nullptr) std::sort(first, last);
+  return static_cast<std::size_t>(last - first);
 }
 
 void Network::index_segment(Node& node) {
@@ -284,23 +275,6 @@ void Network::transmit_unicast(Node& from, Pseudonym to, Packet pkt,
   const sim::Time arrive =
       grant.start + grant.tx_time +
       mac_.propagation_delay(config_.radio_range_m);
-  if (packet_pool_ != nullptr) {
-    const auto h = packet_pool_->acquire();
-    PooledFrame& frame = packet_pool_->at(h);
-    frame.pkt = std::move(pkt);
-    frame.sender = sender;
-    frame.receiver = receiver;
-    frame.to = to;
-    frame.attempt = attempt;
-    sim_.schedule_at(arrive, [this, h] {
-      // Slots live in fixed chunks, so the reference survives any pool
-      // growth a nested (re)transmission causes during delivery.
-      const PooledFrame& f = packet_pool_->at(h);
-      deliver_unicast(f.sender, f.receiver, f.to, f.pkt, f.attempt);
-      packet_pool_->release(h);
-    });
-    return;
-  }
   sim_.schedule_at(arrive,
                    [this, sender, receiver, to, attempt,
                     pkt = std::move(pkt)] {
@@ -330,19 +304,6 @@ void Network::broadcast(Node& from, Packet pkt, double processing_delay) {
       mac_.propagation_delay(config_.radio_range_m);
   // Capture the sender position at transmission time: receivers are the
   // nodes inside the range disc around where the frame was emitted.
-  if (packet_pool_ != nullptr) {
-    const auto h = packet_pool_->acquire();
-    PooledFrame& frame = packet_pool_->at(h);
-    frame.pkt = std::move(pkt);
-    frame.origin = pos;
-    frame.sender = sender;
-    sim_.schedule_at(arrive, [this, h] {
-      const PooledFrame& f = packet_pool_->at(h);
-      deliver_broadcast(f.sender, f.pkt, f.origin);
-      packet_pool_->release(h);
-    });
-    return;
-  }
   sim_.schedule_at(arrive, [this, sender, pos, pkt = std::move(pkt)] {
     deliver_broadcast(sender, pkt, pos);
   });

@@ -6,6 +6,13 @@
 /// (src/routing) attach one PacketHandler per node and use the unicast /
 /// broadcast primitives; metrics and attack models register TraceListeners
 /// that see every on-air event.
+///
+/// Range queries (MAC contention, broadcast receivers, nodes_within) scan
+/// every node on fields of fewer than kGridMinCells range-sized cells —
+/// every paper scenario — and use a scale::SpatialGrid over the nodes'
+/// motion segments on larger fields. Both give the identical ascending id
+/// set (docs/SCALE.md). The grid is reindexed on mobility waypoint events,
+/// so node motion changes only through the MobilityModel.
 
 #include <functional>
 #include <memory>
@@ -21,8 +28,6 @@
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "net/packet_ledger.hpp"
-#include "scale/options.hpp"
-#include "scale/pool.hpp"
 #include "scale/spatial_grid.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -108,15 +113,20 @@ struct NetworkConfig {
   /// Channel/node adversity (src/faults). Inert by default: an all-off
   /// plan allocates nothing, draws nothing, audits nothing.
   faults::FaultPlan faults;
-  /// Scale backends (src/scale). Inert by default: with every flag off the
-  /// grid/pool are never allocated and behaviour is byte-identical to the
-  /// pre-scale implementation; with flags on, results stay digest-identical
-  /// (docs/SCALE.md) — only the asymptotics change.
-  scale::Backends scale;
 };
 
 class Network {
  public:
+  /// Fields spanning at least this many range-sized cells are indexed by
+  /// the spatial grid: a 3x3 query block then covers at most a quarter of
+  /// the field. Below it the scan is as fast or faster (docs/SCALE.md).
+  static constexpr double kGridMinCells = 36.0;
+
+  /// Whether a network on `field` with radio range `radio_range_m` answers
+  /// range queries from the spatial grid rather than a scan of every node.
+  [[nodiscard]] static bool selects_grid(util::Rect field,
+                                         double radio_range_m);
+
   /// Builds nodes (keys, MAC addresses), places them with `mobility`, and
   /// schedules hello/pseudonym/mobility processes on `simulator` up to
   /// `horizon`.
@@ -138,8 +148,7 @@ class Network {
   [[nodiscard]] util::Rng& rng() { return rng_; }
 
   /// Ids of nodes within `radius` of `center` at time `t`, ascending (the
-  /// channel equivalent of carrier range). O(N) scan by default; an O(k)
-  /// grid lookup with the identical result set when `scale.grid` is on.
+  /// channel equivalent of carrier range).
   [[nodiscard]] std::vector<NodeId> nodes_within(util::Vec2 center,
                                                  double radius,
                                                  sim::Time t) const;
@@ -206,20 +215,6 @@ class Network {
   /// Count of hello beacons sent so far (overhead accounting).
   [[nodiscard]] std::uint64_t hello_count() const { return hello_count_; }
 
-  /// Delivery-frame pool occupancy (all zero unless `scale.pool_packets`).
-  /// in_use counts frames still in flight — bounded by pending deliveries,
-  /// and the PacketLedger still accounts every uid to a terminal fate.
-  struct PoolStats {
-    std::size_t in_use = 0;
-    std::size_t high_water = 0;
-    std::size_t capacity = 0;
-  };
-  [[nodiscard]] PoolStats packet_pool_stats() const {
-    if (packet_pool_ == nullptr) return {};
-    return {packet_pool_->in_use(), packet_pool_->high_water(),
-            packet_pool_->capacity()};
-  }
-
   /// Per-node energy meters (radio charges applied automatically on every
   /// transmission/reception; protocols charge their crypto time through
   /// charge_crypto so the Sec. 5 energy comparison is measurable).
@@ -229,27 +224,20 @@ class Network {
   }
 
  private:
-  /// A frame parked in the slab pool while its delivery event is pending.
-  /// Moving the Packet (and the per-kind delivery context) out of the
-  /// scheduled closure leaves a capture of {this, handle} — small enough
-  /// for std::function's inline storage, so the pooled hot path performs
-  /// no per-transmission allocation at all.
-  struct PooledFrame {
-    Packet pkt;
-    util::Vec2 origin;
-    NodeId sender = kInvalidNode;
-    NodeId receiver = kInvalidNode;
-    Pseudonym to = 0;
-    int attempt = 0;
-  };
-
   void schedule_mobility(Node& node);
   /// Reindex `node`'s grid coverage for its current motion segment,
   /// clipped to the simulation horizon (queries never look further).
   void index_segment(Node& node);
+  /// The one range query behind nodes_within, neighbour_count and
+  /// gather_receivers: calls `visit(id)` for every node within `radius` of
+  /// `center` at `t` — in ascending id order on the scan, in cell order on
+  /// the grid — and returns how many it visited. Allocation-free on both
+  /// paths.
+  template <typename Visit>
+  std::size_t for_each_in_range(util::Vec2 center, double radius,
+                                sim::Time t, Visit&& visit) const;
   /// Nodes within `radius` of `center` at `t` — count only, no id
-  /// materialization (what MAC contention needs; allocation-free on both
-  /// the scan and grid paths).
+  /// materialization (what MAC contention needs).
   [[nodiscard]] std::size_t neighbour_count(util::Vec2 center, double radius,
                                             sim::Time t) const;
   /// Fill delivery_ids_[0..count) with the ascending ids within range.
@@ -302,11 +290,9 @@ class Network {
   std::uint64_t arq_retries_ = 0;
   std::uint64_t broadcast_losses_ = 0;
 
-  // --- scale backends (all null/empty unless config_.scale opts in) -------
-  /// Spatial index over current motion segments (scale.grid).
+  /// Spatial index over current motion segments; null unless
+  /// selects_grid() holds for this field and range.
   std::unique_ptr<scale::SpatialGrid> grid_;
-  /// In-flight delivery frames (scale.pool_packets).
-  std::unique_ptr<scale::SlabPool<PooledFrame>> packet_pool_;
   /// Receiver scratch for deliver_broadcast, pre-sized to node_count so the
   /// gather writes by index (see gather_receivers).
   std::vector<NodeId> delivery_ids_;

@@ -11,10 +11,8 @@
 
 namespace alert::perf {
 
-std::uint64_t run_dispatch_batch(std::size_t events,
-                                 sim::QueueBackend backend) {
+std::uint64_t run_dispatch_batch(std::size_t events) {
   sim::Simulator simulator;
-  simulator.set_queue_backend(backend);
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < events; ++i) {
     simulator.schedule_at(static_cast<double>(i) * 1e-6, [&acc] { ++acc; });
@@ -25,12 +23,11 @@ std::uint64_t run_dispatch_batch(std::size_t events,
 }
 
 QueryTopology::QueryTopology(std::size_t node_count, std::uint64_t seed,
-                             bool grid, double field_side_m)
+                             double field_side_m)
     : simulator_(std::make_unique<sim::Simulator>()) {
   net::NetworkConfig config;
   config.node_count = node_count;
   config.field = util::Rect{0.0, 0.0, field_side_m, field_side_m};
-  config.scale.grid = grid;
   // Horizon 0: the constructor places nodes but schedules no periodic
   // processes, so the topology is pure t=0 state.
   network_ = std::make_unique<net::Network>(
@@ -62,8 +59,8 @@ core::ScenarioConfig macro_scenario(std::size_t node_count,
   return config;
 }
 
-core::ScenarioConfig scale_scenario(std::size_t node_count, double duration_s,
-                                    scale::Backends backends) {
+core::ScenarioConfig scale_scenario(std::size_t node_count,
+                                    double duration_s) {
   core::ScenarioConfig config = macro_scenario(node_count, duration_s);
   // Grow the arena with the population so density (and therefore per-node
   // neighbourhood size) stays at the paper's 200 nodes / km^2. A fixed
@@ -72,7 +69,6 @@ core::ScenarioConfig scale_scenario(std::size_t node_count, double duration_s,
   const double side =
       std::sqrt(static_cast<double>(node_count) / 200.0) * 1000.0;
   config.field = util::Rect{0.0, 0.0, side, side};
-  config.scale = backends;
   return config;
 }
 

@@ -30,23 +30,20 @@ inline constexpr std::uint64_t kKernelSeed = 0xBE7CE5EEDULL;
 /// Event-dispatch batch: schedules `events` self-contained callbacks at
 /// strictly increasing times on a fresh Simulator and drains it. Returns
 /// the number executed (== events; the return value keeps the work
-/// observable). ns/op = wall time / events. `backend` selects the event
-/// queue implementation (the scale suite pins the calendar path).
-std::uint64_t run_dispatch_batch(
-    std::size_t events,
-    sim::QueueBackend backend = sim::QueueBackend::BinaryHeap);
+/// observable). ns/op = wall time / events.
+std::uint64_t run_dispatch_batch(std::size_t events);
 
 /// A fixed-seed static topology for neighbour/range-query benchmarking:
 /// `node_count` nodes placed uniformly in a square field (the paper's
 /// 1000x1000 m by default) with 250 m radio range. The simulator never
 /// runs — queries read the t=0 placement, so the topology is identical
-/// for a given (count, seed). `grid` routes every query through the
-/// scale::SpatialGrid instead of the linear scan; `field_side_m` lets the
-/// scale suite grow the arena with the population (paper density).
+/// for a given (count, seed). `field_side_m` lets the scale suite grow the
+/// arena with the population (paper density); the field's geometry decides
+/// whether the network answers from the spatial grid or the scan.
 class QueryTopology {
  public:
   explicit QueryTopology(std::size_t node_count,
-                         std::uint64_t seed = kKernelSeed, bool grid = false,
+                         std::uint64_t seed = kKernelSeed,
                          double field_side_m = 1000.0);
   ~QueryTopology();
 
@@ -73,11 +70,9 @@ class QueryTopology {
 /// The fig14a-style macro scenario scaled to `node_count` nodes at the
 /// paper's density (200 nodes / km^2): the field side grows as
 /// sqrt(node_count / 200) * 1000 m so per-node neighbourhood size stays at
-/// paper scale while the arena grows. `backends` selects the alert::scale
-/// backends — the workload (and its digest) is identical either way.
+/// paper scale while the arena grows.
 [[nodiscard]] core::ScenarioConfig scale_scenario(std::size_t node_count,
-                                                  double duration_s,
-                                                  scale::Backends backends);
+                                                  double duration_s);
 
 /// What one timed macro replication produced (the throughput numerators).
 struct MacroRunStats {

@@ -264,12 +264,11 @@ void add_peak_rss(BenchReport& report) {
 
 // --- scale suite ------------------------------------------------------------
 
-/// Arena-scale pins: 10k nodes is the smallest population where the
-/// backend complexity gap dominates constant factors, yet a full-scale
-/// suite run still finishes in minutes.
+/// Arena-scale pins: at 10k nodes the grid's complexity gap over the scan
+/// dominates constant factors, yet a full-scale suite run still finishes
+/// in minutes. Both sizes (full and smoke) select the grid.
 constexpr Pin kScaleQueryNodes{10'000, 2'000};
 constexpr Pin kScaleQueryCount{4'000, 400};
-constexpr Pin kScaleDispatchEvents{400'000, 20'000};
 constexpr Pin kScaleMacroNodes{10'000, 1'000};
 constexpr Pin kScaleMacroDurationS{5, 2};
 
@@ -295,31 +294,13 @@ constexpr Pin kScaleMacroDurationS{5, 2};
 [[nodiscard]] BenchReport run_scale_suite(const SuiteOptions& options) {
   BenchReport report = make_report("scale");
 
-  // Calendar-queue dispatch: the same batch shape as the core suite's
-  // ns_per_event_dispatch, so the two baselines are directly comparable.
-  const std::size_t dispatch_events = kScaleDispatchEvents.at(options.smoke);
-  const Measurement dispatch = measure(
-      [dispatch_events] {
-        const std::uint64_t start = obs::monotonic_ns();
-        const std::uint64_t executed = run_dispatch_batch(
-            dispatch_events, sim::QueueBackend::Calendar);
-        const std::uint64_t elapsed = obs::monotonic_ns() - start;
-        return static_cast<double>(elapsed) / static_cast<double>(executed);
-      },
-      options_for(options, kMicroRepeats, 1));
-  report.add_metric(metric_from("ns_per_event_dispatch_calendar", "ns/op",
-                         dispatch, Stat::Min, /*higher_is_better=*/false,
-                         40.0));
-  ALERT_LOG_INFO("perf scale: ns_per_event_dispatch_calendar %.1f (iqr %.1f)",
-                 dispatch.median, dispatch.iqr);
-
   // Grid neighbour query at paper density: the arena grows with the
   // population (sqrt(n/200) km side), so the disc covers O(k) nodes and
   // the measured cost is the index, not the answer size.
   const std::size_t query_nodes = kScaleQueryNodes.at(options.smoke);
   const double side =
       std::sqrt(static_cast<double>(query_nodes) / 200.0) * 1000.0;
-  const QueryTopology topology(query_nodes, kKernelSeed, /*grid=*/true, side);
+  const QueryTopology topology(query_nodes, kKernelSeed, side);
   const std::size_t queries = kScaleQueryCount.at(options.smoke);
   const Measurement query = measure(
       [&topology, queries] {
@@ -335,36 +316,16 @@ constexpr Pin kScaleMacroDurationS{5, 2};
   ALERT_LOG_INFO("perf scale: ns_per_neighbour_query_grid %.1f (iqr %.1f)",
                  query.median, query.iqr);
 
-  // The 10k-node fig14a-style macro run, once with every scale backend on
-  // and once with the O(n)/heap/malloc defaults. Identical workload and
-  // digest; only the complexity differs. The committed speedup value must
-  // stay >= 5x: the scale-smoke CI job asserts that floor on the baseline
-  // directly (the regression gate's scaled tolerance is too loose for an
-  // absolute floor).
+  // The 10k-node fig14a-style macro run at paper density.
   const std::size_t macro_nodes = kScaleMacroNodes.at(options.smoke);
   const double macro_duration =
       static_cast<double>(kScaleMacroDurationS.at(options.smoke));
-  scale::Backends all_on;
-  all_on.grid = true;
-  all_on.calendar = true;
-  all_on.pool_packets = true;
-  const MeasureOptions macro_opts = options_for(options, kMacroRepeats, 1);
-  const Measurement scaled = measure_macro_events_per_s(
-      scale_scenario(macro_nodes, macro_duration, all_on), macro_opts);
-  const Measurement linear = measure_macro_events_per_s(
-      scale_scenario(macro_nodes, macro_duration, scale::Backends{}),
-      macro_opts);
-  report.add_metric(metric_from("events_per_s_10k", "events/s", scaled,
+  const Measurement macro = measure_macro_events_per_s(
+      scale_scenario(macro_nodes, macro_duration),
+      options_for(options, kMacroRepeats, 1));
+  report.add_metric(metric_from("events_per_s_10k", "events/s", macro,
                          Stat::Median, /*higher_is_better=*/true, 30.0));
-  ALERT_INVARIANT(linear.median > 0.0, "linear macro kernel measured zero");
-  Measurement ratio;
-  ratio.median = scaled.median / linear.median;
-  ratio.min = ratio.median;
-  ratio.repeats = scaled.repeats;
-  report.add_metric(metric_from("speedup_10k_vs_linear", "x", ratio,
-                         Stat::Median, /*higher_is_better=*/true, 50.0));
-  ALERT_LOG_INFO("perf scale: events_per_s_10k %.0f, speedup vs linear %.1fx",
-                 scaled.median, scaled.median / linear.median);
+  ALERT_LOG_INFO("perf scale: events_per_s_10k %.0f", macro.median);
 
   add_peak_rss(report);
   return report;

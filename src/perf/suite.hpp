@@ -9,11 +9,9 @@
 ///   campaign  — campaign-engine scheduling throughput in units/s through
 ///               the cold (execute + store) and warm (content-addressed
 ///               cache replay) paths, and peak RSS → BENCH_campaign.json
-///   scale     — the alert::scale backends at arena scale: grid
-///               neighbour-query ns/op and calendar event-dispatch ns/op
-///               at 10k nodes, a fig14a-style 10k-node macro run with all
-///               backends on (events/s) plus its speedup over the
-///               linear-scan / binary-heap / malloc configuration, and
+///   scale     — arena scale at paper density, where the network indexes
+///               nodes in the spatial grid: neighbour-query ns/op at 10k
+///               nodes, a fig14a-style 10k-node macro run (events/s), and
 ///               peak RSS → BENCH_scale.json
 ///   lint      — alertsim-analyzer wall time over a generated source tree
 ///               of pinned shape (the real tree would drift as the repo

@@ -8,9 +8,9 @@
 /// segment without per-tick reindexing: the index only changes on mobility
 /// waypoint events (Network::schedule_mobility), never on queries. With
 /// cell size tied to the transmission range, a disc query touches the O(1)
-/// cells overlapping the disc's bounding box and filters the O(k)
-/// candidates by exact distance — the same `distance_sq(pos, center) <=
-/// r*r` predicate the linear scan applies — so the surviving id set is
+/// cells overlapping the disc's bounding box and hands their O(k) ids to
+/// the caller, which applies the same exact `distance_sq(pos, center) <=
+/// r*r` filter the linear scan applies — so the surviving id set is
 /// identical to the scan's, and the caller's ascending-id ordering keeps
 /// event traces bit-identical (docs/SCALE.md, "Determinism argument").
 ///
@@ -20,12 +20,10 @@
 /// query box by kQueryEps (far above the fp deviation at any supported
 /// field size) guarantees every cell within that distance of a matching
 /// position is visited; the exact filter then keeps false positives out.
-/// The grid draws no randomness and reads no clocks.
+/// The grid draws no randomness, reads no clocks and stores no positions.
 ///
-/// Query methods take a position callback (id -> Vec2 at the query time) as
-/// a template parameter and write into caller-owned storage: the hot query
-/// path performs no allocation (stamp-array dedup, preallocated in the
-/// constructor).
+/// Queries take the visitor as a template parameter and perform no
+/// allocation (stamp-array dedup, preallocated in the constructor).
 
 #include <cstddef>
 #include <cstdint>
@@ -55,48 +53,22 @@ class SpatialGrid {
   /// Drop id from every cell it covers.
   void remove(std::uint32_t id);
 
-  /// Number of ids whose position lies within `radius` of `center`.
-  /// Identical to counting the linear scan's matches (dead nodes included —
-  /// the callers filter liveness downstream, exactly as they do today).
-  template <typename PosFn>
-  [[nodiscard]] std::size_t count_in_disc(util::Vec2 center, double radius,
-                                          PosFn&& pos) {
-    const double r_sq = radius * radius;
-    QueryBox box = query_box(center, radius);
-    std::size_t count = 0;
+  /// Call `visit(id)` once for every id covering a cell within `radius`
+  /// (plus kQueryEps) of `center`: a superset of the ids whose position at
+  /// the query time lies within `radius`, in no particular order.
+  template <typename Visit>
+  void for_each_candidate(util::Vec2 center, double radius, Visit&& visit) {
+    const QueryBox box = query_box(center, radius);
     ++epoch_;
     for (std::uint32_t cy = box.cy0; cy <= box.cy1; ++cy) {
       for (std::uint32_t cx = box.cx0; cx <= box.cx1; ++cx) {
         for (const std::uint32_t id : cells_[cy * cols_ + cx]) {
           if (stamp_[id] == epoch_) continue;
           stamp_[id] = epoch_;
-          if (util::distance_sq(pos(id), center) <= r_sq) ++count;
+          visit(id);
         }
       }
     }
-    return count;
-  }
-
-  /// Write every matching id (unsorted) into `out`, which must hold at
-  /// least max_ids entries; returns the match count. Callers sort ascending
-  /// to reproduce the linear scan's id order.
-  template <typename PosFn>
-  [[nodiscard]] std::size_t collect_in_disc(util::Vec2 center, double radius,
-                                            PosFn&& pos, std::uint32_t* out) {
-    const double r_sq = radius * radius;
-    QueryBox box = query_box(center, radius);
-    std::size_t count = 0;
-    ++epoch_;
-    for (std::uint32_t cy = box.cy0; cy <= box.cy1; ++cy) {
-      for (std::uint32_t cx = box.cx0; cx <= box.cx1; ++cx) {
-        for (const std::uint32_t id : cells_[cy * cols_ + cx]) {
-          if (stamp_[id] == epoch_) continue;
-          stamp_[id] = epoch_;
-          if (util::distance_sq(pos(id), center) <= r_sq) out[count++] = id;
-        }
-      }
-    }
-    return count;
   }
 
   [[nodiscard]] std::uint32_t cols() const { return cols_; }

@@ -8,27 +8,12 @@
 
 namespace alert::sim {
 
-void EventQueue::set_backend(QueueBackend backend) {
-  ALERT_INVARIANT(next_id_ == 1 && heap_.empty() && calendar_.empty(),
-                  "queue backend must be selected before the first schedule");
-  backend_ = backend;
-}
-
-std::size_t EventQueue::physical_size() const {
-  return backend_ == QueueBackend::BinaryHeap ? heap_.size()
-                                              : calendar_.size();
-}
-
 EventId EventQueue::schedule(Time when, Action action) {
   ALERT_INVARIANT(when == when, "scheduling at NaN time");
   const EventId id = next_id_++;
   pending_set(id);
-  if (backend_ == QueueBackend::BinaryHeap) {
-    heap_.push_back(Entry{when, next_seq_++, id, std::move(action)});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  } else {
-    calendar_.push(Entry{when, next_seq_++, id, std::move(action)});
-  }
+  heap_.push_back(Entry{when, next_seq_++, id, std::move(action)});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   ++live_count_;
   if (++ops_since_audit_ >= kAuditPeriod) audit();
   return id;
@@ -49,62 +34,40 @@ bool EventQueue::cancel(EventId id) {
 
 void EventQueue::maybe_compact() {
   if (cancelled_.size() * 2 <= physical_size()) return;
-  const auto dead = [this](const Entry& e) {
+  std::erase_if(heap_, [this](const Entry& e) {
     return cancelled_.find(e.id) != cancelled_.end();
-  };
-  if (backend_ == QueueBackend::BinaryHeap) {
-    std::erase_if(heap_, dead);
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  } else {
-    calendar_.remove_if(dead);
-  }
+  });
+  std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
   cancelled_.clear();
 }
 
 void EventQueue::skip_cancelled() const {
   if (cancelled_.empty()) return;  // keep cancel-free pops hash-probe-free
-  if (backend_ == QueueBackend::BinaryHeap) {
-    while (!heap_.empty()) {
-      const auto it = cancelled_.find(heap_.front().id);
-      if (it == cancelled_.end()) break;
-      // Reclaim the tombstone with the entry, so a drained queue always
-      // has an empty tombstone set (the no-stale-event invariant below).
-      cancelled_.erase(it);
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      heap_.pop_back();
-    }
-    ALERT_INVARIANT(!heap_.empty() || cancelled_.empty(),
-                    "tombstones for events no longer in the heap");
-  } else {
-    while (!calendar_.empty()) {
-      const auto it = cancelled_.find(calendar_.min().id);
-      if (it == cancelled_.end()) break;
-      cancelled_.erase(it);
-      (void)calendar_.pop_min();
-    }
-    ALERT_INVARIANT(!calendar_.empty() || cancelled_.empty(),
-                    "tombstones for events no longer in the calendar");
+  while (!heap_.empty()) {
+    const auto it = cancelled_.find(heap_.front().id);
+    if (it == cancelled_.end()) break;
+    // Reclaim the tombstone with the entry, so a drained queue always
+    // has an empty tombstone set (the no-stale-event invariant below).
+    cancelled_.erase(it);
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    heap_.pop_back();
   }
+  ALERT_INVARIANT(!heap_.empty() || cancelled_.empty(),
+                  "tombstones for events no longer in the heap");
 }
 
 Time EventQueue::next_time() const {
   skip_cancelled();
-  ALERT_INVARIANT(physical_size() > 0, "next_time() on an empty queue");
-  return backend_ == QueueBackend::BinaryHeap ? heap_.front().time
-                                              : calendar_.min().time;
+  ALERT_INVARIANT(!heap_.empty(), "next_time() on an empty queue");
+  return heap_.front().time;
 }
 
 EventQueue::Fired EventQueue::pop() {
   skip_cancelled();
-  ALERT_INVARIANT(physical_size() > 0, "pop() on an empty queue");
-  Entry e;
-  if (backend_ == QueueBackend::BinaryHeap) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    e = std::move(heap_.back());
-    heap_.pop_back();
-  } else {
-    e = calendar_.pop_min();
-  }
+  ALERT_INVARIANT(!heap_.empty(), "pop() on an empty queue");
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  Entry e = std::move(heap_.back());
+  heap_.pop_back();
   ALERT_INVARIANT(
       cancelled_.empty() || cancelled_.find(e.id) == cancelled_.end(),
       "stale (cancelled) event about to fire");
@@ -126,22 +89,17 @@ void EventQueue::audit() const {
   // Every stored entry is either pending or tombstoned; every tombstone
   // refers to a stored entry; the live count matches both views.
   std::size_t tombstoned = 0;
-  const auto check_entry = [this, &tombstoned](const Entry& e) {
+  for (const Entry& e : heap_) {
     const bool dead = cancelled_.find(e.id) != cancelled_.end();
     const bool live = pending_test(e.id);
     ALERT_ASSERT(dead != live,
                  "stored event neither pending nor tombstoned (or both)");
     if (dead) ++tombstoned;
-  };
-  if (backend_ == QueueBackend::BinaryHeap) {
-    for (const Entry& e : heap_) check_entry(e);
-    // Heap property (min-heap via operator>).
-    for (std::size_t i = 1; i < heap_.size(); ++i) {
-      ALERT_ASSERT(!(heap_[(i - 1) / 2] > heap_[i]),
-                   "binary heap property violated");
-    }
-  } else {
-    calendar_.for_each(check_entry);
+  }
+  // Heap property (min-heap via operator>).
+  for (std::size_t i = 1; i < heap_.size(); ++i) {
+    ALERT_ASSERT(!(heap_[(i - 1) / 2] > heap_[i]),
+                 "binary heap property violated");
   }
   ALERT_ASSERT(tombstoned == cancelled_.size(),
                "tombstone for an event missing from the store");

@@ -5,29 +5,21 @@
 /// sequence). The sequence number makes simultaneous events fire in
 /// scheduling order, which keeps runs deterministic.
 ///
-/// Two interchangeable backends sit behind the same interface and produce
-/// the same pop order bit-for-bit (the (time, seq) total order is strict,
-/// so there is exactly one):
-///  - BinaryHeap (default): std::push_heap/pop_heap, O(log n) — the right
-///    choice at paper scale;
-///  - Calendar: scale::CalendarQueue, near-O(1) schedule/pop at millions of
-///    pending events (ROADMAP item 1; selected per scenario via
-///    `scale.calendar`, see docs/SCALE.md).
-/// The backend must be chosen before the first schedule() — it is a
-/// container swap, not a migratable state.
+/// The store is a binary heap (std::push_heap/pop_heap, O(log n)). It
+/// measured faster than a calendar queue at paper scale and the same,
+/// within noise, at 10k nodes (docs/SCALE.md).
 ///
-/// Cancellation is O(1) amortized for both backends: hash-set tombstones
-/// (`cancelled_`) with an id-indexed pending bitmap (ids are sequential, so
-/// membership is a bit test, not a hash probe, on the per-event hot path),
-/// lazily skipped at the front and compacted out of the backing store
-/// whenever tombstones exceed half the physical entries, so cancelled
-/// storage is bounded by 2x live.
+/// Cancellation is O(1) amortized: hash-set tombstones (`cancelled_`) with
+/// an id-indexed pending bitmap (ids are sequential, so membership is a bit
+/// test, not a hash probe, on the per-event hot path), lazily skipped at
+/// the front and compacted out of the heap whenever tombstones exceed half
+/// the physical entries, so cancelled storage is bounded by 2x live.
 ///
 /// Invariant instrumentation (see util/check.hpp):
 ///  - pop monotonicity: extraction times never decrease (ALERT_INVARIANT);
 ///  - no stale events: a cancelled event is never returned by pop(), and a
 ///    drained queue always has an empty tombstone set;
-///  - checked builds additionally audit the backend/tombstone bookkeeping
+///  - checked builds additionally audit the heap/tombstone bookkeeping
 ///    (live_count_ consistency, tombstones always refer to stored entries,
 ///    the heap property) every `kAuditPeriod` mutations (ALERT_ASSERT).
 
@@ -37,8 +29,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "scale/calendar_queue.hpp"
-
 namespace alert::sim {
 
 /// Simulated time in seconds.
@@ -47,16 +37,9 @@ using Time = double;
 /// Token identifying a scheduled event so it can be cancelled.
 using EventId = std::uint64_t;
 
-/// Which pending-set container an EventQueue runs on.
-enum class QueueBackend : std::uint8_t { BinaryHeap, Calendar };
-
 class EventQueue {
  public:
   using Action = std::function<void()>;
-
-  /// Select the backend. Must be called before the first schedule().
-  void set_backend(QueueBackend backend);
-  [[nodiscard]] QueueBackend backend() const { return backend_; }
 
   /// Schedule `action` at absolute time `when`. Returns a cancellation id.
   EventId schedule(Time when, Action action);
@@ -89,7 +72,7 @@ class EventQueue {
   [[nodiscard]] std::size_t tombstone_count() const {
     return cancelled_.size();
   }
-  [[nodiscard]] std::size_t physical_size() const;
+  [[nodiscard]] std::size_t physical_size() const { return heap_.size(); }
 
  private:
   struct Entry {
@@ -129,9 +112,7 @@ class EventQueue {
 
   static constexpr std::uint64_t kAuditPeriod = 1024;
 
-  QueueBackend backend_ = QueueBackend::BinaryHeap;
   mutable std::vector<Entry> heap_;  // std::push_heap/pop_heap with greater
-  mutable scale::CalendarQueue<Entry> calendar_;
   mutable std::unordered_set<EventId> cancelled_;  // lazy tombstones
   std::vector<std::uint64_t> pending_bits_;  // id -> still scheduled
   mutable std::size_t live_count_ = 0;

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <bit>
 #include <memory>
 #include <utility>
 
@@ -52,7 +53,8 @@ std::uint64_t Simulator::run_until(Time horizon) {
     ALERT_INVARIANT(fired.time >= now_,
                     "simulation clock would move backwards");
     now_ = fired.time;
-    audit_fired(fired);
+    audit(std::bit_cast<std::uint64_t>(fired.time));
+    audit(fired.seq);
     {
       ALERT_OBS_TIMED(profiler_, dispatch_scope_);
       fired.action();
@@ -62,21 +64,6 @@ std::uint64_t Simulator::run_until(Time horizon) {
   }
   if (now_ < horizon) now_ = horizon;
   return count;
-}
-
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  auto fired = queue_.pop();
-  ALERT_INVARIANT(fired.time >= now_,
-                  "simulation clock would move backwards");
-  now_ = fired.time;
-  audit_fired(fired);
-  {
-    ALERT_OBS_TIMED(profiler_, dispatch_scope_);
-    fired.action();
-  }
-  ++executed_;
-  return true;
 }
 
 }  // namespace alert::sim

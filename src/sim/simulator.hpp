@@ -12,7 +12,6 @@
 /// with the same seed must end with identical digests — the determinism
 /// tests and the cross-run comparisons in EXPERIMENTS.md rely on this.
 
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -30,13 +29,6 @@ class Simulator {
 
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Select the pending-set backend (scale.calendar scenarios pick
-  /// QueueBackend::Calendar). Must be called before the first schedule;
-  /// both backends pop the identical (time, seq) order, so the choice
-  /// cannot change the trace digest.
-  void set_queue_backend(QueueBackend backend) { queue_.set_backend(backend); }
-  [[nodiscard]] QueueBackend queue_backend() const { return queue_.backend(); }
-
   /// Schedule `action` to run `delay` seconds from now (delay >= 0).
   EventId schedule_in(Time delay, EventQueue::Action action);
 
@@ -53,9 +45,6 @@ class Simulator {
   /// scheduled at exactly the horizon still fire. Returns the number of
   /// events executed.
   std::uint64_t run_until(Time horizon);
-
-  /// Run a single event if one is pending; returns false when idle.
-  bool step();
 
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
   [[nodiscard]] bool idle() const { return queue_.empty(); }
@@ -92,11 +81,6 @@ class Simulator {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
-  }
-
-  void audit_fired(const EventQueue::Fired& fired) {
-    audit(std::bit_cast<std::uint64_t>(fired.time));
-    audit(fired.seq);
   }
 
   EventQueue queue_;

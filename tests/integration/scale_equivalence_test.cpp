@@ -1,120 +1,72 @@
-/// Backend-equivalence suite for alert::scale (docs/SCALE.md): the spatial
-/// grid, the calendar event queue and the packet pool are pure complexity
-/// swaps, so every {linear, grid} x {heap, calendar} combination of a
-/// scenario must produce bit-identical determinism digests and
-/// byte-identical run-manifest serializations — across mobility models,
-/// fault injection and ARQ. A 10k-node run additionally proves the
-/// backends hold up at arena scale with a clean packet ledger.
+/// Grid equivalence at scenario level (docs/SCALE.md): on fields large
+/// enough that net::Network answers range queries from its spatial grid,
+/// a run must reproduce bit-for-bit the determinism digest and event count
+/// of a linear-scan run of the same scenario. The pinned values below come
+/// from such a scan run; they cover random-waypoint and group mobility,
+/// fault injection with ARQ, and a 10k-node arena whose packet ledger must
+/// close clean.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
-#include <vector>
+#include <cstdint>
 
 #include "core/experiment.hpp"
-#include "core/scenario_codec.hpp"
-#include "obs/manifest.hpp"
+#include "net/network.hpp"
 
 namespace alert {
 namespace {
 
-struct Combo {
-  const char* name;
-  bool grid;
-  bool calendar;
-  bool pool;
+/// Determinism digest and event count of the linear-scan run.
+struct ScanRun {
+  std::uint64_t digest;
+  std::uint64_t events;
 };
 
-/// The four backend combinations; the pool rides along on two of them so
-/// both pool states are covered against both queue backends.
-constexpr Combo kCombos[] = {
-    {"linear/heap", false, false, false},
-    {"grid/heap", true, false, true},
-    {"linear/calendar", false, true, false},
-    {"grid/calendar", true, true, true},
-};
-
-core::RunResult run_combo(core::ScenarioConfig config, const Combo& combo) {
-  config.scale.grid = combo.grid;
-  config.scale.calendar = combo.calendar;
-  config.scale.pool_packets = combo.pool;
-  return core::run_once(config, 0);
+/// Paper density (200 nodes / km^2) on a 1.5 km field: 6x6 range-sized
+/// cells, the smallest square field that selects the grid.
+core::ScenarioConfig grid_field_scenario() {
+  core::ScenarioConfig config;
+  config.field = util::Rect{0.0, 0.0, 1500.0, 1500.0};
+  config.node_count = 450;
+  config.duration_s = 30.0;
+  config.flow_count = 5;
+  return config;
 }
 
-/// Serialize the run's observable outcome the way the figure benches do:
-/// digest + metrics + a result series in one RunManifest JSON document.
-std::string manifest_bytes(const core::RunResult& run) {
-  obs::RunManifest manifest;
-  manifest.name = "scale_equivalence";
-  manifest.replications = 1;
-  manifest.trace_digests.push_back(run.trace_digest);
-  manifest.metrics = run.metrics;
-  util::Series latency;
-  latency.name = "ALERT";
-  latency.points.push_back({0.0, run.mean_latency_s, 0.0});
-  manifest.series.push_back(latency);
-  std::ostringstream out;
-  manifest.write_json(out);
-  return out.str();
-}
-
-void expect_all_combos_identical(const core::ScenarioConfig& config,
-                                 const char* label) {
-  const core::RunResult reference = run_combo(config, kCombos[0]);
-  ASSERT_GT(reference.events_executed, 0u) << label;
-  ASSERT_GT(reference.sent, 0u) << label;
-  const std::string reference_bytes = manifest_bytes(reference);
-  for (std::size_t i = 1; i < std::size(kCombos); ++i) {
-    const core::RunResult run = run_combo(config, kCombos[i]);
-    EXPECT_EQ(run.trace_digest, reference.trace_digest)
-        << label << ": " << kCombos[i].name;
-    EXPECT_EQ(run.events_executed, reference.events_executed)
-        << label << ": " << kCombos[i].name;
-    EXPECT_EQ(manifest_bytes(run), reference_bytes)
-        << label << ": " << kCombos[i].name;
-  }
+void expect_matches_scan(const core::ScenarioConfig& config, ScanRun scan) {
+  ASSERT_TRUE(net::Network::selects_grid(config.field, config.radio_range_m));
+  const core::RunResult run = core::run_once(config, 0);
+  EXPECT_GT(run.sent, 0u);
+  EXPECT_EQ(run.events_executed, scan.events);
+  EXPECT_EQ(run.trace_digest, scan.digest);
 }
 
 TEST(ScaleEquivalence, Fig14aStyleRandomWaypoint) {
-  core::ScenarioConfig config;
-  config.node_count = 150;
-  config.duration_s = 30.0;
-  config.flow_count = 5;
+  core::ScenarioConfig config = grid_field_scenario();
   config.seed = 4242;
-  expect_all_combos_identical(config, "fig14a-style");
+  expect_matches_scan(config, {0x4c5d8d16491fb1ceULL, 36372});
 }
 
 TEST(ScaleEquivalence, Fig17StyleGroupMobility) {
-  core::ScenarioConfig config;
-  config.node_count = 150;
-  config.duration_s = 30.0;
-  config.flow_count = 5;
+  core::ScenarioConfig config = grid_field_scenario();
   config.mobility = core::MobilityKind::Group;
   config.speed_mps = 8.0;
   config.seed = 1717;
-  expect_all_combos_identical(config, "fig17-style");
+  expect_matches_scan(config, {0xe164967dee9e8df7ULL, 48276});
 }
 
 TEST(ScaleEquivalence, AblationStyleFaultsAndArq) {
-  core::ScenarioConfig config;
-  config.node_count = 120;
-  config.duration_s = 30.0;
-  config.flow_count = 5;
+  core::ScenarioConfig config = grid_field_scenario();
   config.faults.loss.iid = 0.15;
   config.faults.churn.mttf_s = 40.0;
   config.mac.arq.enabled = true;
   config.seed = 99;
-  expect_all_combos_identical(config, "ablation-style");
+  expect_matches_scan(config, {0x4815f91906163498ULL, 35020});
 }
 
 TEST(ScaleEquivalence, TenThousandNodesLeakFree) {
-  // Arena scale: 10k nodes at paper density. Both all-on runs must agree
-  // with each other, open real traffic, and leave the packet ledger clean
-  // (run_once audits every uid's terminal fate at teardown; a leak fails
-  // the run itself). The linear configuration is omitted on purpose — its
-  // O(n) scans would dominate tier-1 wall time without adding coverage
-  // beyond the 150-node combos above.
+  // Arena scale: 10k nodes at paper density, 29x29 cells. run_once audits
+  // every uid's terminal fate at teardown, so a ledger leak fails the run.
   core::ScenarioConfig config;
   config.node_count = 10'000;
   const double side = 7071.0;  // sqrt(10000 / 200) km: paper density
@@ -122,27 +74,11 @@ TEST(ScaleEquivalence, TenThousandNodesLeakFree) {
   config.duration_s = 5.0;
   config.flow_count = 10;
   config.seed = 10'000;
-  Combo grid_only{"grid/heap", true, false, true};
-  Combo all_on{"grid/calendar", true, true, true};
-  const core::RunResult a = run_combo(config, grid_only);
-  const core::RunResult b = run_combo(config, all_on);
-  EXPECT_EQ(a.trace_digest, b.trace_digest);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_GT(a.packets_opened, 0u);
-  EXPECT_EQ(manifest_bytes(a), manifest_bytes(b));
-}
-
-TEST(ScaleEquivalence, DefaultsEmitNoScaleKeys) {
-  // Inert defaults: an all-off Backends leaves the canonical form (and so
-  // every campaign cache key) byte-identical to pre-scale builds; any
-  // active flag surfaces all three keys.
-  core::ScenarioConfig config;
-  EXPECT_EQ(core::canonical_scenario(config).find("scale."), std::string::npos);
-  config.scale.calendar = true;
-  const std::string canonical = core::canonical_scenario(config);
-  EXPECT_NE(canonical.find("scale.grid=false"), std::string::npos);
-  EXPECT_NE(canonical.find("scale.calendar=true"), std::string::npos);
-  EXPECT_NE(canonical.find("scale.pool_packets=false"), std::string::npos);
+  ASSERT_TRUE(net::Network::selects_grid(config.field, config.radio_range_m));
+  const core::RunResult run = core::run_once(config, 0);
+  EXPECT_GT(run.packets_opened, 0u);
+  EXPECT_EQ(run.events_executed, 104274u);
+  EXPECT_EQ(run.trace_digest, 0x7600795a688c97ffULL);
 }
 
 }  // namespace

@@ -270,57 +270,53 @@ TEST(Network, PseudonymResolutionMatchesFullScan) {
   EXPECT_EQ(net.resolve_pseudonym(0xFFFFFFFFDEADULL), kInvalidNode);
 }
 
-TEST(Network, GridNeighbourQueriesMatchLinearScan) {
-  // Two networks, identical seed and mobility, one with the spatial grid:
-  // nodes_within must agree exactly at arbitrary times mid-flight.
-  auto build = [](bool grid) {
-    NetworkConfig cfg;
-    cfg.node_count = 120;
-    cfg.scale.grid = grid;
-    auto simulator = std::make_unique<sim::Simulator>();
-    auto net = std::make_unique<Network>(
-        *simulator, cfg,
-        std::make_unique<RandomWaypoint>(cfg.field, 20.0), util::Rng(77),
-        /*horizon=*/50.0);
-    return std::make_pair(std::move(simulator), std::move(net));
-  };
-  auto [sim_a, linear] = build(false);
-  auto [sim_b, gridded] = build(true);
-  util::Rng centers(123);
-  for (double t = 0.0; t <= 40.0; t += 5.0) {
-    sim_a->run_until(t);
-    sim_b->run_until(t);
-    for (int q = 0; q < 20; ++q) {
-      const util::Vec2 c = centers.point_in(linear->config().field);
-      const double r = centers.uniform(50.0, 400.0);
-      EXPECT_EQ(linear->nodes_within(c, r, t), gridded->nodes_within(c, r, t))
-          << "t=" << t;
-    }
-  }
+TEST(Network, FieldGeometrySelectsGridOrScan) {
+  // Range-sized cells per field: the paper's 4x4 = 16 stays on the scan;
+  // 6x6 = 36 and the 10k-node arena's 29x29 = 841 take the grid.
+  EXPECT_FALSE(Network::selects_grid({0.0, 0.0, 1000.0, 1000.0}, 250.0));
+  EXPECT_TRUE(Network::selects_grid({0.0, 0.0, 1500.0, 1500.0}, 250.0));
+  EXPECT_TRUE(Network::selects_grid({0.0, 0.0, 7071.0, 7071.0}, 250.0));
+  // Non-square fields count cells, not the longer side: 8x4 = 32 scans,
+  // 9x4 = 36 takes the grid.
+  EXPECT_FALSE(Network::selects_grid({0.0, 0.0, 2000.0, 1000.0}, 250.0));
+  EXPECT_TRUE(Network::selects_grid({0.0, 0.0, 2250.0, 1000.0}, 250.0));
 }
 
-TEST(Network, PooledPacketsLeakFreeAfterTraffic) {
+TEST(Network, GridNeighbourQueriesMatchLinearScan) {
+  // On a grid-selecting field at paper density (200 nodes / km^2),
+  // nodes_within must equal a brute-force scan of node positions at times
+  // between waypoint events, for both moving mobility models.
   NetworkConfig cfg;
-  cfg.node_count = 30;
-  cfg.scale.pool_packets = true;
-  sim::Simulator simulator;
-  Network net(simulator, cfg, std::make_unique<StaticPlacement>(cfg.field),
-              util::Rng(31), /*horizon=*/30.0);
-  Recorder rec;
-  for (NodeId id = 0; id < net.size(); ++id) net.attach_handler(id, &rec);
-  simulator.run_until(5.0);  // hello broadcasts flow through the pool
-  Packet pkt;
-  pkt.kind = PacketKind::Data;
-  pkt.size_bytes = 512;
-  for (int i = 0; i < 20; ++i) {
-    net.unicast(net.node(0),
-                net.node(static_cast<NodeId>(1 + (i % 20))).pseudonym(), pkt);
+  cfg.field = {0.0, 0.0, 1500.0, 1500.0};
+  cfg.node_count = 450;
+  ASSERT_TRUE(Network::selects_grid(cfg.field, cfg.radio_range_m));
+  for (const bool group : {false, true}) {
+    SCOPED_TRACE(group ? "group mobility" : "random waypoint");
+    std::unique_ptr<MobilityModel> mobility;
+    if (group) {
+      mobility = std::make_unique<GroupMobility>(cfg.field, 8.0, 10, 150.0);
+    } else {
+      mobility = std::make_unique<RandomWaypoint>(cfg.field, 20.0);
+    }
+    sim::Simulator simulator;
+    Network net(simulator, cfg, std::move(mobility), util::Rng(77),
+                /*horizon=*/50.0);
+    util::Rng centers(123);
+    for (double t = 0.37; t <= 40.0; t += 5.0) {
+      simulator.run_until(t);
+      for (int q = 0; q < 20; ++q) {
+        const util::Vec2 c = centers.point_in(cfg.field);
+        const double r = centers.uniform(50.0, 400.0);
+        std::vector<NodeId> scan;
+        for (NodeId id = 0; id < net.size(); ++id) {
+          if (util::distance_sq(net.node(id).position(t), c) <= r * r) {
+            scan.push_back(id);
+          }
+        }
+        EXPECT_EQ(net.nodes_within(c, r, t), scan) << "t=" << t;
+      }
+    }
   }
-  simulator.run_until(30.0);
-  const Network::PoolStats stats = net.packet_pool_stats();
-  EXPECT_EQ(stats.in_use, 0u) << "pooled delivery frames leaked";
-  EXPECT_GT(stats.high_water, 0u) << "traffic never went through the pool";
-  EXPECT_GE(stats.capacity, stats.high_water);
 }
 
 }  // namespace

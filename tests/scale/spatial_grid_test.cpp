@@ -24,14 +24,16 @@ std::vector<std::uint32_t> scan_disc(const std::vector<util::Vec2>& pos,
   return out;
 }
 
+/// The grid's candidates under the scan's exact filter, ascending (what
+/// net::Network does with them).
 std::vector<std::uint32_t> grid_disc(SpatialGrid& grid,
                                      const std::vector<util::Vec2>& pos,
                                      util::Vec2 center, double radius) {
-  std::vector<std::uint32_t> out(pos.size());
-  const std::size_t n = grid.collect_in_disc(
-      center, radius, [&pos](std::uint32_t id) { return pos[id]; },
-      out.data());
-  out.resize(n);
+  std::vector<std::uint32_t> out;
+  const double r_sq = radius * radius;
+  grid.for_each_candidate(center, radius, [&](std::uint32_t id) {
+    if (util::distance_sq(pos[id], center) <= r_sq) out.push_back(id);
+  });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -57,20 +59,25 @@ TEST(SpatialGrid, PointQueryMatchesScan) {
   }
 }
 
-TEST(SpatialGrid, CountAgreesWithCollect) {
+TEST(SpatialGrid, VisitsEachCandidateOnce) {
+  // Long segments cover many cells of one query box; the visitor still
+  // sees each id at most once, and a field-wide query sees every id.
   util::Rng rng(8);
-  std::vector<util::Vec2> pos;
-  SpatialGrid grid(kField, 250.0, 100);
-  for (std::uint32_t id = 0; id < 100; ++id) {
-    pos.push_back(rng.point_in(kField));
-    grid.update(id, pos.back(), pos.back());
+  constexpr std::uint32_t kIds = 100;
+  SpatialGrid grid(kField, 250.0, kIds);
+  for (std::uint32_t id = 0; id < kIds; ++id) {
+    grid.update(id, rng.point_in(kField), rng.point_in(kField));
   }
   for (int q = 0; q < 50; ++q) {
-    const util::Vec2 center = rng.point_in(kField);
-    const auto fn = [&pos](std::uint32_t id) { return pos[id]; };
-    EXPECT_EQ(grid.count_in_disc(center, 250.0, fn),
-              grid_disc(grid, pos, center, 250.0).size());
+    std::vector<int> visits(kIds, 0);
+    grid.for_each_candidate(rng.point_in(kField), 250.0,
+                            [&visits](std::uint32_t id) { ++visits[id]; });
+    for (const int v : visits) EXPECT_LE(v, 1);
   }
+  std::vector<int> visits(kIds, 0);
+  grid.for_each_candidate({500.0, 500.0}, 1000.0,
+                          [&visits](std::uint32_t id) { ++visits[id]; });
+  EXPECT_EQ(visits, std::vector<int>(kIds, 1));
 }
 
 TEST(SpatialGrid, SegmentCoverageFindsEveryInterpolatedPosition) {

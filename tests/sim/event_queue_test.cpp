@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <memory>
+#include <utility>
 #include <vector>
 
 namespace alert::sim {
@@ -165,38 +166,40 @@ TEST(EventQueue, CompactionAlsoTriggersOnPop) {
   }
 }
 
-TEST(EventQueue, BackendsPopIdenticalOrder) {
-  // The calendar backend must reproduce the heap's (time, seq) pop order
-  // bit-for-bit, including ties and cancellations.
-  auto build = [](QueueBackend backend) {
-    auto q = std::make_unique<EventQueue>();
-    q->set_backend(backend);
-    std::vector<EventId> ids;
-    std::uint64_t state = 0x9E3779B97F4A7C15ULL;
-    for (int i = 0; i < 5000; ++i) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      // Coarse quantization forces plenty of exact time ties.
-      const double t = static_cast<double>((state >> 33) % 4096) * 0.25;
-      ids.push_back(q->schedule(t, [] {}));
-    }
-    for (std::size_t i = 0; i < ids.size(); i += 7) q->cancel(ids[i]);
-    return q;
-  };
-  auto heap = build(QueueBackend::BinaryHeap);
-  auto calendar = build(QueueBackend::Calendar);
-  ASSERT_EQ(heap->size(), calendar->size());
-  while (!heap->empty()) {
-    const auto a = heap->pop();
-    const auto b = calendar->pop();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.seq, b.seq);
+TEST(EventQueue, PopsInSortedTimeSeqOrder) {
+  // The heap must pop exactly the (time, seq) order of a sorted reference,
+  // including ties and cancellations.
+  EventQueue q;
+  std::vector<std::pair<double, std::uint64_t>> reference;
+  std::vector<EventId> ids;
+  std::uint64_t state = 0x9E3779B97F4A7C15ULL;
+  for (std::uint64_t seq = 0; seq < 5000; ++seq) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    // Coarse quantization forces plenty of exact time ties.
+    const double t = static_cast<double>((state >> 33) % 4096) * 0.25;
+    ids.push_back(q.schedule(t, [] {}));
+    reference.emplace_back(t, seq);
   }
-  EXPECT_TRUE(calendar->empty());
+  std::vector<std::pair<double, std::uint64_t>> live;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i % 7 == 0) {
+      EXPECT_TRUE(q.cancel(ids[i]));
+    } else {
+      live.push_back(reference[i]);
+    }
+  }
+  std::sort(live.begin(), live.end());
+  ASSERT_EQ(q.size(), live.size());
+  for (const auto& [time, seq] : live) {
+    const auto fired = q.pop();
+    ASSERT_EQ(fired.time, time);
+    ASSERT_EQ(fired.seq, seq);
+  }
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, CalendarBackendSurvivesForeverSentinels) {
+TEST(EventQueue, SurvivesForeverSentinels) {
   EventQueue q;
-  q.set_backend(QueueBackend::Calendar);
   bool near_fired = false;
   const EventId forever =
       q.schedule(std::numeric_limits<double>::max() / 4.0, [] {});
@@ -205,13 +208,6 @@ TEST(EventQueue, CalendarBackendSurvivesForeverSentinels) {
   EXPECT_TRUE(near_fired);
   EXPECT_TRUE(q.cancel(forever));
   EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueDeathTest, BackendSwitchAfterUseIsRejected) {
-  EventQueue q;
-  q.schedule(1.0, [] {});
-  EXPECT_DEATH(q.set_backend(QueueBackend::Calendar),
-               "before the first schedule");
 }
 
 }  // namespace

@@ -77,18 +77,6 @@ TEST(Simulator, CancelScheduledEvent) {
   EXPECT_FALSE(ran);
 }
 
-TEST(Simulator, StepExecutesOneEvent) {
-  Simulator s;
-  int count = 0;
-  s.schedule_in(1.0, [&] { ++count; });
-  s.schedule_in(2.0, [&] { ++count; });
-  EXPECT_TRUE(s.step());
-  EXPECT_EQ(count, 1);
-  EXPECT_DOUBLE_EQ(s.now(), 1.0);
-  EXPECT_TRUE(s.step());
-  EXPECT_FALSE(s.step());
-}
-
 TEST(Simulator, ResumableAcrossHorizons) {
   Simulator s;
   std::vector<double> times;
