@@ -70,8 +70,7 @@ std::vector<util::Series> group_by_curve(
       series.push_back(util::Series{pr.spec->curve, {}});
       target = &series.back();
     }
-    // False positive: appends to a Series member, not the loop container.
-    target->points.push_back(fn(pr));  // alert-lint: allow(iterator-invalidation)
+    target->points.push_back(fn(pr));
   }
   return series;
 }
@@ -482,7 +481,7 @@ CampaignSpec fig15a() {
             acc_point(pr.spec->x, pr.result.hops_with_control));
       }
     }
-    series.push_back(  // alert-lint: allow(iterator-invalidation)
+    series.push_back(
         std::move(alarm_diss));
     for (util::Series& sr : series) m.series.push_back(std::move(sr));
     m.notes.push_back(reps_note(ctx.reps));
@@ -519,7 +518,7 @@ CampaignSpec fig15b() {
             acc_point(pr.spec->x, pr.result.hops_with_control));
       }
     }
-    series.push_back(  // alert-lint: allow(iterator-invalidation)
+    series.push_back(
         std::move(alarm_diss));
     for (util::Series& sr : series) m.series.push_back(std::move(sr));
     m.notes.push_back(reps_note(ctx.reps));

@@ -158,7 +158,7 @@ void default_reduce(const CampaignSpec& spec,
       series.push_back(util::Series{pr.spec->curve, {}});
       target = &series.back();
     }
-    target->points.push_back(  // alert-lint: allow(iterator-invalidation)
+    target->points.push_back(
         (*fn)(pr.spec->x, pr.result));
   }
   for (util::Series& s : series) manifest.series.push_back(std::move(s));

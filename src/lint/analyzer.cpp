@@ -14,10 +14,8 @@
 #include <sstream>
 #include <utility>
 
-#include "lint/baseline.hpp"
 #include "lint/callgraph.hpp"
 #include "lint/index.hpp"
-#include "lint/lockgraph.hpp"
 #include "lint/rules.hpp"
 #include "obs/profile.hpp"
 #include "util/thread_pool.hpp"
@@ -27,6 +25,9 @@ namespace alert::analysis_tools {
 namespace fs = std::filesystem;
 
 namespace {
+
+const RuleInfo kHeaderRule{"header-self-sufficiency",
+                           "header does not compile standalone"};
 
 bool is_cxx_source(const fs::path& p) {
   static const std::set<std::string> kExts{".cpp", ".cc", ".cxx",
@@ -112,8 +113,8 @@ std::vector<RuleInfo> rule_catalog(const AnalyzerConfig& config) {
   for (const auto& rule : make_default_rules(config)) {
     out.push_back(rule->info());
   }
-  out.push_back({"header-self-sufficiency",
-                 "header does not compile standalone", Severity::Error});
+  out.push_back(kHeaderRule);
+  out.push_back(stale_waiver_rule());
   std::sort(out.begin(), out.end(),
             [](const RuleInfo& a, const RuleInfo& b) { return a.id < b.id; });
   return out;
@@ -134,14 +135,12 @@ AnalyzeResult analyze(const AnalyzerOptions& options) {
   // whole-program ProgramIndex/CallGraph, built once and shared by every
   // rule's finish_program pass.
   std::vector<std::unique_ptr<Rule>> rules = make_default_rules(options.config);
-  if (!options.disabled_rules.empty()) {
-    const std::set<std::string> off(options.disabled_rules.begin(),
-                                    options.disabled_rules.end());
-    std::erase_if(rules, [&](const std::unique_ptr<Rule>& r) {
-      return off.count(r->info().id) != 0;
-    });
-  }
-  Sink sink(options.config);
+  std::set<std::string> off(options.disabled_rules.begin(),
+                            options.disabled_rules.end());
+  std::erase_if(rules, [&](const std::unique_ptr<Rule>& r) {
+    return off.count(r->info().id) != 0;
+  });
+  Sink sink;
   result.files.resize(paths.size());
   std::vector<FileIndex> slices(paths.size());
   // Per-rule wall time, accumulated across phases (atomically in the
@@ -180,17 +179,11 @@ AnalyzeResult analyze(const AnalyzerOptions& options) {
       rule_ns[r].fetch_add(obs::monotonic_ns() - t0,
                            std::memory_order_relaxed);
     }
-    // The acquisition-order proof artifact rides along with every scan —
-    // an acyclic rendering is exactly what reviewers gate the PDES arc on.
-    result.lock_graph_dot = LockGraph(index, graph).to_dot();
   }
 
   // Header self-sufficiency is compiler-backed, not token-backed: every
   // header must compile in a TU of its own, matching the retired linter.
   if (options.check_headers) {
-    const RuleInfo header_info{"header-self-sufficiency",
-                               "header does not compile standalone",
-                               Severity::Error};
     std::string cxx = options.cxx;
     if (cxx.empty()) {
       const char* env = std::getenv("CXX");
@@ -200,19 +193,25 @@ AnalyzeResult analyze(const AnalyzerOptions& options) {
       if (!is_header(paths[i])) continue;
       std::string first_error;
       if (!header_compiles(cxx, options.root, paths[i], &first_error)) {
-        sink.emit(header_info, result.files[i], 1, 1,
+        sink.emit(kHeaderRule, result.files[i], 1, 1,
                   "header does not compile standalone: " + first_error);
       }
     }
+  }
+
+  // Every waiver must suppress something. Waivers for rules this scan
+  // switched off had no chance to, so they are not judged.
+  if (!options.check_headers) off.insert(kHeaderRule.id);
+  if (off.count(stale_waiver_rule().id) == 0) {
+    sink.flag_stale_waivers(result.files, off);
   }
 
   std::vector<Finding> findings = sink.take();
   result.report.files_scanned = paths.size();
   result.report.waived = sink.waived_count();
 
-  // --stats accounting: findings are attributed pre-baseline (the cost of
-  // a rule includes the findings it grandfathers), sorted by wall time so
-  // the expensive rules lead.
+  // --stats accounting: findings are attributed before diff-mode
+  // filtering, sorted by wall time so the expensive rules lead.
   {
     std::map<std::string, std::size_t> findings_by_rule;
     for (const Finding& f : findings) ++findings_by_rule[f.rule];
@@ -223,10 +222,11 @@ AnalyzeResult analyze(const AnalyzerOptions& options) {
       stat.findings = findings_by_rule[stat.id];
       result.rule_stats.push_back(std::move(stat));
     }
-    if (findings_by_rule.count("header-self-sufficiency") != 0) {
-      result.rule_stats.push_back(
-          {"header-self-sufficiency", 0,
-           findings_by_rule["header-self-sufficiency"]});
+    for (const RuleInfo* pass : {&kHeaderRule, &stale_waiver_rule()}) {
+      if (findings_by_rule.count(pass->id) != 0) {
+        result.rule_stats.push_back(
+            {pass->id, 0, findings_by_rule[pass->id]});
+      }
     }
     std::sort(result.rule_stats.begin(), result.rule_stats.end(),
               [](const RuleStat& a, const RuleStat& b) {
@@ -235,42 +235,13 @@ AnalyzeResult analyze(const AnalyzerOptions& options) {
               });
   }
 
-  // Baseline pass: grandfathered findings drop out; entries that match
-  // nothing are reported as stale (except in diff mode, where most of the
-  // tree is filtered and entries legitimately idle).
-  Baseline baseline = Baseline::parse(options.baseline_text,
-                                      &result.baseline_errors);
-  std::map<std::string, const FileData*> by_path;
-  for (const FileData& f : result.files) by_path[f.rel_path] = &f;
-  std::vector<Finding> kept;
-  for (Finding& f : findings) {
-    const auto it = by_path.find(f.path);
-    const std::string_view line_text =
-        it == by_path.end()
-            ? std::string_view()
-            : source_line_text(it->second->source, f.line);
-    if (baseline.absorbs(f, line_text)) {
-      ++result.report.baseline_applied;
-    } else {
-      kept.push_back(std::move(f));
-    }
-  }
-
   if (!options.only_paths.empty()) {
     const std::set<std::string> only(options.only_paths.begin(),
                                      options.only_paths.end());
-    std::erase_if(kept,
+    std::erase_if(findings,
                   [&](const Finding& f) { return only.count(f.path) == 0; });
-  } else {
-    for (const BaselineEntry* e : baseline.stale()) {
-      result.report.stale_baseline.push_back(e->rule + " " + e->path +
-                                             " — " + e->reason);
-    }
-    if (!options.baseline_text.empty()) {
-      result.pruned_baseline_text = baseline.prune(options.baseline_text);
-    }
   }
-  result.report.findings = std::move(kept);
+  result.report.findings = std::move(findings);
   return result;
 }
 

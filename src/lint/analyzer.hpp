@@ -4,7 +4,7 @@
 /// Scan orchestration: discover sources under a root, lex and run the
 /// per-file rules in parallel over util::ThreadPool, run whole-program
 /// rules serially, optionally verify header self-sufficiency with the
-/// real compiler, then apply the baseline and assemble a ScanReport.
+/// real compiler, then report unused waivers and assemble a ScanReport.
 
 #include <cstddef>
 #include <cstdint>
@@ -25,18 +25,15 @@ struct AnalyzerOptions {
   bool check_headers = false;
   std::string cxx;  ///< compiler for header checks; "" = $CXX or "g++"
   /// When non-empty, only findings in these rel paths are reported (diff
-  /// mode). Whole-program analysis still sees the full tree; stale-baseline
-  /// reporting is suppressed because unlisted files legitimately absorb
-  /// entries.
+  /// mode). Whole-program analysis still sees the full tree.
   std::vector<std::string> only_paths;
-  /// Baseline file contents ("" = no baseline).
-  std::string baseline_text;
   /// Rel-path prefixes dropped from the scan entirely (e.g. the analyzer's
   /// own deliberately-broken lint_fixtures/ when scanning tools/).
   std::vector<std::string> exclude_paths;
-  /// Rule ids switched off for this scan (e.g. hotpath-allocation over
-  /// tests/, where allocation in helpers is fine). Unknown ids are the
-  /// driver's problem — it validates against rule_catalog before calling.
+  /// Rule ids switched off for this scan (e.g. raw-stdout over tools/,
+  /// whose drivers exist to print). Their waivers are not judged stale.
+  /// Unknown ids are the driver's problem — it validates against
+  /// rule_catalog before calling.
   std::vector<std::string> disabled_rules;
   std::size_t threads = 0;  ///< 0 = hardware concurrency
 };
@@ -44,7 +41,7 @@ struct AnalyzerOptions {
 /// Per-rule cost/yield accounting for --stats: wall time summed across
 /// every phase the rule ran in (parallel check_file time is summed over
 /// files, so it can exceed the scan's wall clock) and findings counted
-/// before baseline filtering.
+/// before diff-mode filtering.
 struct RuleStat {
   std::string id;
   std::uint64_t wall_ns = 0;
@@ -53,20 +50,11 @@ struct RuleStat {
 
 struct AnalyzeResult {
   ScanReport report;
-  std::vector<std::string> baseline_errors;  ///< malformed baseline lines
   /// Lexed inputs, sorted by rel_path (the self-test compares these
-  /// against EXPECT annotations; --write-baseline needs the source lines).
+  /// against EXPECT annotations).
   std::vector<FileData> files;
   /// Per-rule timing and finding counts, sorted by descending wall time.
   std::vector<RuleStat> rule_stats;
-  /// Graphviz rendering of the program lock graph (--lock-graph-dot; the
-  /// CI acquisition-order artifact). Always populated — an empty graph is
-  /// still a proof.
-  std::string lock_graph_dot;
-  /// The input baseline with stale entries removed (--prune-baseline).
-  /// Only meaningful when a baseline was supplied and the scan was not
-  /// path-filtered (diff mode leaves entries legitimately idle).
-  std::string pruned_baseline_text;
 };
 
 /// Sorted forward-slash rel paths of C++ sources under `root`.
@@ -75,8 +63,9 @@ struct AnalyzeResult {
 
 [[nodiscard]] AnalyzeResult analyze(const AnalyzerOptions& options);
 
-/// The full rule catalog (token rules plus the compiler-backed
-/// header-self-sufficiency rule) — for --list-rules and SARIF metadata.
+/// The full rule catalog (token rules, the compiler-backed
+/// header-self-sufficiency rule and stale-waiver) — for --list-rules and
+/// SARIF metadata.
 [[nodiscard]] std::vector<RuleInfo> rule_catalog(const AnalyzerConfig& config);
 
 }  // namespace alert::analysis_tools

@@ -2,7 +2,6 @@
 
 #include "lint/callgraph.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <set>
 
@@ -104,33 +103,6 @@ std::vector<std::size_t> CallGraph::resolve(std::size_t caller,
   return out;
 }
 
-CallGraph::Reachability CallGraph::reach(
-    const std::vector<std::size_t>& roots) const {
-  Reachability r;
-  r.reached.assign(edges_.size(), 0);
-  r.parent.assign(edges_.size(), npos);
-  r.parent_call.assign(edges_.size(), nullptr);
-  std::deque<std::size_t> queue;
-  for (const std::size_t root : roots) {
-    if (root < edges_.size() && r.reached[root] == 0) {
-      r.reached[root] = 1;
-      queue.push_back(root);
-    }
-  }
-  while (!queue.empty()) {
-    const std::size_t u = queue.front();
-    queue.pop_front();
-    for (const Edge& e : edges_[u]) {
-      if (r.reached[e.target] != 0) continue;
-      r.reached[e.target] = 1;
-      r.parent[e.target] = u;
-      r.parent_call[e.target] = e.via;
-      queue.push_back(e.target);
-    }
-  }
-  return r;
-}
-
 CallGraph::ReverseReach CallGraph::reach_reverse(
     const std::vector<std::size_t>& sources) const {
   ReverseReach r;
@@ -167,25 +139,6 @@ CallGraph::ReverseReach CallGraph::reach_reverse(
     }
   }
   return r;
-}
-
-std::vector<std::size_t> CallGraph::match(const std::string& spec) const {
-  if (spec.find("::") != std::string::npos) {
-    return index_->by_qualified(spec);
-  }
-  return index_->by_name(spec);
-}
-
-std::string CallGraph::chain(const Reachability& r, std::size_t fn) const {
-  std::vector<std::size_t> path{fn};
-  while (r.parent[path.back()] != npos) path.push_back(r.parent[path.back()]);
-  std::reverse(path.begin(), path.end());
-  std::string out;
-  for (const std::size_t f : path) {
-    if (!out.empty()) out += " -> ";
-    out += index_->functions()[f].qualified;
-  }
-  return out;
 }
 
 std::string CallGraph::chain(const ReverseReach& r, std::size_t fn) const {

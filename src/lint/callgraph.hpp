@@ -4,8 +4,8 @@
 /// Program-wide call graph over ProgramIndex. Edges resolve call sites by
 /// name: `Class::f` matches the qualified definition, `obj.f(...)` every
 /// function named `f` (an over-approximation that suits reachability rules —
-/// hotpath-allocation and wallclock-in-sim would rather follow a few extra
-/// edges than miss a real path). A bare `f(...)` follows C++ unqualified
+/// wallclock-in-sim would rather follow a few extra edges than miss a real
+/// path). A bare `f(...)` follows C++ unqualified
 /// lookup instead: a member of the enclosing class hides everything else,
 /// and otherwise only free functions are viable targets — a by_name hit on
 /// another class's member would need an object expression the call does not
@@ -14,9 +14,9 @@
 /// include graph (neither may include the other) cannot exist at runtime,
 /// and for bare-name calls even the callback direction is ruled out — free
 /// functions are not interface methods, so a bare call into a module the
-/// caller may not include is a name collision, not an edge. Traversals are
-/// plain BFS over function indices in file/definition order, so results are
-/// deterministic for a fixed scan root.
+/// caller may not include is a name collision, not an edge. The traversal
+/// is a plain BFS over function indices in file/definition order, so
+/// results are deterministic for a fixed scan root.
 
 #include <cstddef>
 #include <limits>
@@ -40,16 +40,6 @@ class CallGraph {
     const CallSite* via = nullptr;  ///< first call site inducing the edge
   };
 
-  /// Forward reachability from `roots` (function indices). `parent[i]` is
-  /// the calling function on the BFS tree path from a root (npos for roots
-  /// and unreached nodes); `parent_call[i]` the call site in that caller.
-  struct Reachability {
-    std::vector<char> reached;
-    std::vector<std::size_t> parent;
-    std::vector<const CallSite*> parent_call;
-  };
-  [[nodiscard]] Reachability reach(const std::vector<std::size_t>& roots) const;
-
   /// Multi-source reverse reachability: for every function that can reach
   /// one of `sources` through calls, `next[i]` is the callee one hop toward
   /// the source (npos at the sources themselves) and `via[i]` the call site
@@ -62,28 +52,19 @@ class CallGraph {
   [[nodiscard]] ReverseReach reach_reverse(
       const std::vector<std::size_t>& sources) const;
 
-  /// Function indices matching a root spec: "Class::name" matches by
-  /// qualified name, a bare "name" by bare name.
-  [[nodiscard]] std::vector<std::size_t> match(const std::string& spec) const;
-
-  /// "root -> ... -> fn" qualified-name chain from forward reachability.
-  [[nodiscard]] std::string chain(const Reachability& r, std::size_t fn) const;
   /// "fn -> ... -> source" qualified-name chain from reverse reachability.
   [[nodiscard]] std::string chain(const ReverseReach& r, std::size_t fn) const;
 
   [[nodiscard]] const std::vector<std::vector<Edge>>& edges() const {
     return edges_;
   }
-  [[nodiscard]] const ProgramIndex& index() const { return *index_; }
 
+ private:
   /// Function indices a call site in `caller` can target, after name
-  /// resolution and DAG pruning — the same policy the constructor uses to
-  /// build edges, exposed per call site because Edge keeps only the first
-  /// inducing site per target (the lock graph needs every site's held set).
+  /// resolution and DAG pruning.
   [[nodiscard]] std::vector<std::size_t> resolve(std::size_t caller,
                                                 const CallSite& call) const;
 
- private:
   const ProgramIndex* index_;
   const AnalyzerConfig* config_ = nullptr;
   std::vector<std::vector<Edge>> edges_;

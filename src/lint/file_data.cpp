@@ -8,9 +8,10 @@ namespace alert::analysis_tools {
 
 namespace {
 
-/// Parse `alert-lint: allow(a, b)` out of one comment token's text and
-/// record the rules for the comment's line. The syntax is inherited from
-/// the retired Python alert-lint so existing waivers keep working.
+/// Parse a waiver out of one comment token's text (the alert-lint tag, then
+/// allow and a parenthesised, comma-separated rule list) and record the
+/// rules for the comment's line. The syntax is inherited from the retired
+/// Python alert-lint so existing waivers keep working.
 void parse_waiver(const Token& comment,
                   std::map<std::size_t, std::set<std::string>>* waivers) {
   static constexpr std::string_view kTag = "alert-lint:";

@@ -3,8 +3,9 @@
 /// \file file_data.hpp
 /// Per-file analysis input: the lexed token stream, an index of code tokens
 /// (comments/preprocessor filtered out) for structural matching, the inline
-/// waiver map parsed from `// alert-lint: allow(<rule>[, <rule>...])`
-/// comments, and small token-pattern helpers shared by the rules.
+/// waiver map parsed from alert-lint allow comments (syntax in
+/// docs/VERIFICATION.md), and small token-pattern helpers shared by the
+/// rules.
 
 #include <cstddef>
 #include <map>
@@ -45,9 +46,6 @@ class CodeView {
   [[nodiscard]] std::size_t size() const { return file_->code.size(); }
   [[nodiscard]] const Token& tok(std::size_t i) const {
     return file_->tokens[file_->code[i]];
-  }
-  [[nodiscard]] bool is(std::size_t i, std::string_view text) const {
-    return i < size() && tok(i).text == text;
   }
   [[nodiscard]] bool is_ident(std::size_t i, std::string_view text) const {
     return i < size() && tok(i).kind == TokenKind::Identifier &&

@@ -2,8 +2,8 @@
 
 /// \file finding.hpp
 /// Machine-readable analyzer findings. A Finding is one rule violation at
-/// one source location; Severity::Error findings gate the exit status (and
-/// CI), Severity::Warning findings are reported but do not fail the run.
+/// one source location. Every finding is an error: any finding fails the
+/// scan's exit status (and CI).
 
 #include <cstddef>
 #include <string>
@@ -11,19 +11,12 @@
 
 namespace alert::analysis_tools {
 
-enum class Severity { Warning, Error };
-
-[[nodiscard]] constexpr const char* severity_name(Severity s) {
-  return s == Severity::Error ? "error" : "warning";
-}
-
 struct Finding {
   std::string rule;
   std::string path;  ///< forward-slash path relative to the scan root
   std::size_t line = 0;
   std::size_t column = 0;
   std::string message;
-  Severity severity = Severity::Error;
 
   /// Ordering keys column last and equality ignores it: a pattern hitting
   /// twice on one line is one finding (the retired regex linter reported at

@@ -2,14 +2,14 @@
 /// Per-file symbol/scope indexing. Two passes per file: a scope walk that
 /// finds function definitions (namespace- and class-scope brace bodies whose
 /// statement head carries a parameter list), then a linear body scan per
-/// function that records call sites, lambdas (captures + worker-ness), lock
-/// acquisitions, writes with the held-mutex set, clock reads and allocation
-/// sites. Both passes share the statement-head machinery proven out by the
-/// mutable-global rule.
+/// function that records call sites, lambdas (captures + worker-ness),
+/// writes with the held-mutex set, and clock reads. Both passes share the
+/// statement-head machinery proven out by the mutable-global rule.
 
 #include "lint/index.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 namespace alert::analysis_tools {
@@ -204,11 +204,7 @@ std::vector<LambdaInfo> scan_lambdas(const CodeView& v, std::size_t begin,
         ++k;  // *this
       }
       if (k < item_end && v.tok(k).kind == TokenKind::Identifier) {
-        if (v.tok(k).text == "this") {
-          c.is_this = true;
-        } else {
-          c.name = v.tok(k).text;
-        }
+        if (v.tok(k).text != "this") c.name = v.tok(k).text;
       } else if (c.by_ref && k >= item_end) {
         c.is_default = true;  // bare [&]
       }
@@ -293,16 +289,14 @@ struct BodyScanner {
   struct ParenFrame {
     std::string callee;
   };
-  struct BraceFrame {
-    std::vector<std::set<std::string>> locks;
-  };
   std::vector<ParenFrame> parens;
-  std::vector<BraceFrame> braces;
+  /// Per open brace scope, the mutexes its lock guards acquired.
+  std::vector<std::set<std::string>> braces;
 
   [[nodiscard]] std::set<std::string> held_mutexes() const {
     std::set<std::string> held;
-    for (const BraceFrame& b : braces) {
-      for (const auto& s : b.locks) held.insert(s.begin(), s.end());
+    for (const std::set<std::string>& b : braces) {
+      held.insert(b.begin(), b.end());
     }
     return held;
   }
@@ -352,10 +346,8 @@ struct BodyScanner {
     }
     CallSite site;
     site.callee = callee.text;
-    site.tok = c;
     site.line = callee.line;
     site.column = callee.column;
-    site.held = held_mutexes();
     if (c >= 2) {
       const std::string& acc = v.tok(c - 1).text;
       if ((acc == "::" || acc == "." || acc == "->") &&
@@ -369,8 +361,8 @@ struct BodyScanner {
 
   /// Parse a lock declaration at `j`; returns tokens consumed (0 = no
   /// match). Pattern: [std ::] lock_guard|scoped_lock|unique_lock|
-  /// shared_lock [<...>] name ( operands ) — operands land in the current
-  /// brace scope's capability set.
+  /// shared_lock [<...>] name ( operands ) — operands join the current
+  /// brace scope's held set.
   std::size_t match_lock(std::size_t j) {
     static const std::set<std::string> kGuards{
         "lock_guard", "scoped_lock", "unique_lock", "shared_lock"};
@@ -392,18 +384,14 @@ struct BodyScanner {
         paren ? v.matching(k, "(", ")") : v.matching(k, "{", "}");
     if (close >= v.size()) return 0;
 
-    LockSite lock;
-    lock.tok = j;
-    lock.line = v.tok(j).line;
-    lock.column = v.tok(j).column;
-    lock.held = held_mutexes();  // before this guard's own operands join
+    std::set<std::string> mutexes;
     std::size_t item = k + 1;
     std::size_t depth = 0;
     for (std::size_t p = k + 1; p <= close; ++p) {
       const std::string& t = v.tok(p).text;
       if (p == close || (t == "," && depth == 0)) {
         std::string m = normalize_mutex(v, item, p);
-        if (!m.empty()) lock.mutexes.push_back(std::move(m));
+        if (!m.empty()) mutexes.insert(std::move(m));
         item = p + 1;
         continue;
       }
@@ -411,68 +399,15 @@ struct BodyScanner {
       if ((t == ")" || t == "]" || t == "}" || t == ">") && depth > 0)
         --depth;
     }
-    if (lock.mutexes.empty()) return 0;
-    if (!braces.empty()) {
-      braces.back().locks.emplace_back(lock.mutexes.begin(),
-                                       lock.mutexes.end());
-    }
-    fn.locks.push_back(std::move(lock));
+    if (mutexes.empty()) return 0;
+    if (!braces.empty()) braces.back().insert(mutexes.begin(), mutexes.end());
     return close - j + 1;
-  }
-
-  void match_clock(std::size_t j) {
-    static const std::set<std::string> kClockTypes{
-        "system_clock", "steady_clock", "high_resolution_clock"};
-    static const std::set<std::string> kClockCalls{
-        "time", "clock", "gettimeofday", "clock_gettime", "localtime",
-        "gmtime"};
-    const Token& t = v.tok(j);
-    if (t.kind != TokenKind::Identifier) return;
-    if (kClockTypes.count(t.text) != 0 && v.is_punct(j + 1, "::") &&
-        v.is_ident(j + 2, "now")) {
-      fn.clock_uses.push_back(
-          {"std::chrono::" + t.text + "::now()", t.line, t.column});
-      return;
-    }
-    if (kClockCalls.count(t.text) != 0 && v.is_punct(j + 1, "(") &&
-        !v.prev_is_accessor(j)) {
-      fn.clock_uses.push_back({t.text + "()", t.line, t.column});
-    }
-  }
-
-  void match_alloc(std::size_t j) {
-    const Token& t = v.tok(j);
-    if (t.kind != TokenKind::Identifier) return;
-    if (t.text == "new" && !v.prev_is_accessor(j)) {
-      fn.allocs.push_back({AllocSite::Kind::New, "new", t.line, t.column});
-      return;
-    }
-    if ((t.text == "make_shared" || t.text == "make_unique") &&
-        (v.is_punct(j + 1, "<") || v.is_punct(j + 1, "("))) {
-      fn.allocs.push_back(
-          {AllocSite::Kind::MakeShared, t.text, t.line, t.column});
-      return;
-    }
-    // `std::function<...> name` object construction in a body; a trailing
-    // '&' or '*' after the argument list means a reference/pointer type
-    // mention, which does not allocate.
-    if (t.text == "function" && j >= 2 && v.is_ident(j - 2, "std") &&
-        v.is_punct(j - 1, "::") && v.is_punct(j + 1, "<")) {
-      const std::size_t past = skip_template_args(v, j + 1);
-      if (past != j + 1 && past < v.size() &&
-          v.tok(past).kind == TokenKind::Identifier &&
-          !is_keyword(v.tok(past).text)) {
-        fn.allocs.push_back(
-            {AllocSite::Kind::StdFunction, "std::function", t.line,
-             t.column});
-      }
-    }
   }
 
   /// At an identifier starting an lvalue chain: follow `.x`, `->x` and
   /// `[...]` segments (subscripts elided from the target name); a trailing
   /// assignment/increment operator or mutating container call records a
-  /// write. Returns the chain's extent for grow-call alloc detection.
+  /// write.
   void match_write(std::size_t j) {
     static const std::set<std::string> kAssign{
         "=",  "+=", "-=", "*=", "/=", "%=",
@@ -480,8 +415,6 @@ struct BodyScanner {
     static const std::set<std::string> kMutators{
         "push_back", "emplace_back", "emplace", "insert", "erase",
         "clear",     "resize",       "pop_back", "assign", "merge"};
-    static const std::set<std::string> kGrowers{
-        "push_back", "emplace_back", "emplace", "insert", "resize"};
     const Token& head = v.tok(j);
     if (head.kind != TokenKind::Identifier || is_keyword(head.text)) return;
     if (v.prev_is_accessor(j)) return;
@@ -533,17 +466,12 @@ struct BodyScanner {
 
     WriteSite w;
     w.target = std::move(target);
-    w.tok = j;
     w.line = head.line;
     w.column = head.column;
     w.lambda = lambda_at(j);
     w.in_worker = in_worker(j);
     w.held_mutexes = held_mutexes();
     fn.writes.push_back(std::move(w));
-    if (!method.empty() && kGrowers.count(method) != 0) {
-      const Token& m = v.tok(k + 1);
-      fn.allocs.push_back({AllocSite::Kind::Grow, method, m.line, m.column});
-    }
   }
 
   void run() {
@@ -598,8 +526,9 @@ struct BodyScanner {
         j += lock_len;
         continue;
       }
-      match_clock(j);
-      match_alloc(j);
+      if (std::optional<ClockUse> use = clock_read_at(v, j)) {
+        fn.clock_uses.push_back(std::move(*use));
+      }
       match_write(j);
       ++j;
     }
@@ -637,18 +566,23 @@ std::set<std::string> collect_rng_vars(const CodeView& v) {
 
 }  // namespace
 
-const char* alloc_kind_name(AllocSite::Kind k) {
-  switch (k) {
-    case AllocSite::Kind::New:
-      return "operator new";
-    case AllocSite::Kind::MakeShared:
-      return "make_shared/make_unique";
-    case AllocSite::Kind::StdFunction:
-      return "std::function construction";
-    case AllocSite::Kind::Grow:
-      return "growing-container call";
+std::optional<ClockUse> clock_read_at(const CodeView& v, std::size_t j) {
+  static const std::set<std::string> kClockTypes{
+      "system_clock", "steady_clock", "high_resolution_clock"};
+  static const std::set<std::string> kClockCalls{
+      "time", "clock", "gettimeofday", "clock_gettime", "localtime",
+      "gmtime"};
+  const Token& t = v.tok(j);
+  if (t.kind != TokenKind::Identifier) return std::nullopt;
+  if (kClockTypes.count(t.text) != 0 && v.is_punct(j + 1, "::") &&
+      v.is_ident(j + 2, "now")) {
+    return ClockUse{"std::chrono::" + t.text + "::now()", t.line, t.column};
   }
-  return "allocation";
+  if (kClockCalls.count(t.text) != 0 && v.is_punct(j + 1, "(") &&
+      !v.prev_is_accessor(j)) {
+    return ClockUse{t.text + "()", t.line, t.column};
+  }
+  return std::nullopt;
 }
 
 std::set<std::string> declared_names(const FileData& file, std::size_t begin,

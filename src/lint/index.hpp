@@ -4,8 +4,8 @@
 /// Cross-translation-unit symbol/scope indexer. One pass over each file's
 /// token stream (pure per-file work — run in the parallel lex phase) finds
 /// function definitions and collects per-function facts: call sites, lambda
-/// captures, lock-guard acquisitions, member/captured-state writes, host
-/// clock reads, and allocation sites. ProgramIndex assembles the per-file
+/// captures, member/captured-state writes with the lock guards held at
+/// each, and host clock reads. ProgramIndex assembles the per-file
 /// slices into a program-wide view that whole-program rules query in their
 /// serial finish_program() phase; the call graph over it lives in
 /// lint/callgraph.hpp. Everything here is a token-level heuristic — no
@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -27,7 +28,6 @@ struct Capture {
   std::string name;         ///< empty for [&] / [=] defaults and `this`
   bool by_ref = false;
   bool is_default = false;  ///< a bare [&] or [=]
-  bool is_this = false;
 };
 
 struct LambdaInfo {
@@ -59,24 +59,8 @@ struct CallSite {
   std::string callee;     ///< bare callee name
   std::string qualifier;  ///< `Class` for Class::f, object name for o.f()
   bool scope_qualified = false;  ///< qualifier came via `::`
-  std::size_t tok = 0;           ///< code index of the callee identifier
   std::size_t line = 0;
   std::size_t column = 0;
-  /// Mutexes held (by enclosing RAII guards) when the call executes — the
-  /// lock graph charges the callee's acquisitions against these.
-  std::set<std::string> held;
-};
-
-/// A std::lock_guard / scoped_lock / unique_lock / shared_lock declaration.
-struct LockSite {
-  std::vector<std::string> mutexes;  ///< normalized operand expressions
-  std::size_t tok = 0;               ///< code index of the guard keyword
-  std::size_t line = 0;
-  std::size_t column = 0;
-  /// Mutexes already held when this guard is constructed (acquisition
-  /// order: each held mutex precedes each of `mutexes` in the lock graph;
-  /// mutexes acquired together by one scoped_lock are unordered).
-  std::set<std::string> held;
 };
 
 /// A write (assignment, ++/--, or mutating container call) to a member
@@ -84,30 +68,26 @@ struct LockSite {
 /// so element writes to one container group under one name.
 struct WriteSite {
   std::string target;
-  std::size_t tok = 0;
   std::size_t line = 0;
   std::size_t column = 0;
   int lambda = -1;        ///< index into FunctionInfo::lambdas, -1 = none
   bool in_worker = false;
-  /// Mutexes held at the write (union of enclosing-scope lock sites).
+  /// Mutexes held at the write: the operands of every std::lock_guard /
+  /// scoped_lock / unique_lock / shared_lock in an enclosing scope.
   std::set<std::string> held_mutexes;
 };
 
 struct ClockUse {
-  std::string what;  ///< "std::chrono::steady_clock", "time()", ...
+  std::string what;  ///< "std::chrono::steady_clock::now()", "time()", ...
   std::size_t line = 0;
   std::size_t column = 0;
 };
 
-struct AllocSite {
-  enum class Kind { New, MakeShared, StdFunction, Grow };
-  Kind kind = Kind::New;
-  std::string what;  ///< "new", "make_shared", "push_back", ...
-  std::size_t line = 0;
-  std::size_t column = 0;
-};
-
-[[nodiscard]] const char* alloc_kind_name(AllocSite::Kind k);
+/// The host clock read at code token `j`, if any: `<clock>::now` on a
+/// std::chrono system/steady/high-resolution clock, or a non-member call to
+/// time(), clock(), gettimeofday(), clock_gettime(), localtime() or gmtime().
+[[nodiscard]] std::optional<ClockUse> clock_read_at(const CodeView& v,
+                                                    std::size_t j);
 
 struct FunctionInfo {
   std::string name;       ///< bare name
@@ -118,10 +98,8 @@ struct FunctionInfo {
   std::size_t body_end = 0;    ///< code index of the matching '}'
   std::vector<CallSite> calls;
   std::vector<LambdaInfo> lambdas;
-  std::vector<LockSite> locks;
   std::vector<WriteSite> writes;
   std::vector<ClockUse> clock_uses;
-  std::vector<AllocSite> allocs;
 };
 
 /// Per-file slice of the program index. Pure function of one FileData, so

@@ -6,22 +6,12 @@ namespace alert::analysis_tools {
 
 void write_text(std::ostream& out, const ScanReport& report) {
   for (const Finding& f : report.findings) {
-    out << f.path << ':' << f.line << ':' << f.column << ": "
-        << severity_name(f.severity) << ": " << f.message << " [" << f.rule
-        << "]\n";
-  }
-  for (const std::string& s : report.stale_baseline) {
-    out << "stale baseline entry (delete it): " << s << '\n';
+    out << f.path << ':' << f.line << ':' << f.column << ": error: "
+        << f.message << " [" << f.rule << "]\n";
   }
   out << report.files_scanned << " file(s) scanned, "
-      << report.findings.size() << " finding(s) (" << report.error_count()
-      << " error(s)), " << report.waived << " waived, "
-      << report.baseline_applied << " baselined";
-  if (!report.stale_baseline.empty()) {
-    out << ", " << report.stale_baseline.size() << " stale baseline entr"
-        << (report.stale_baseline.size() == 1 ? "y" : "ies");
-  }
-  out << '\n';
+      << report.findings.size() << " finding(s), " << report.waived
+      << " waived, " << report.stale_waivers() << " stale waiver(s)\n";
 }
 
 namespace {
@@ -31,7 +21,7 @@ void write_finding_fields(obs::JsonWriter& w, const Finding& f) {
   w.field("path", f.path);
   w.field("line", static_cast<std::uint64_t>(f.line));
   w.field("column", static_cast<std::uint64_t>(f.column));
-  w.field("severity", severity_name(f.severity));
+  w.field("severity", "error");
   w.field("message", f.message);
 }
 
@@ -43,8 +33,8 @@ void write_json(std::ostream& out, const ScanReport& report) {
   w.field("tool", "alertsim-analyzer");
   w.field("files_scanned", static_cast<std::uint64_t>(report.files_scanned));
   w.field("waived", static_cast<std::uint64_t>(report.waived));
-  w.field("baseline_applied",
-          static_cast<std::uint64_t>(report.baseline_applied));
+  w.field("stale_waivers",
+          static_cast<std::uint64_t>(report.stale_waivers()));
   w.key("findings");
   w.begin_array();
   for (const Finding& f : report.findings) {
@@ -52,10 +42,6 @@ void write_json(std::ostream& out, const ScanReport& report) {
     write_finding_fields(w, f);
     w.end_object();
   }
-  w.end_array();
-  w.key("stale_baseline");
-  w.begin_array();
-  for (const std::string& s : report.stale_baseline) w.value(s);
   w.end_array();
   w.end_object();
   out << '\n';
@@ -90,7 +76,7 @@ void write_sarif(std::ostream& out, const ScanReport& report,
     w.end_object();
     w.key("defaultConfiguration");
     w.begin_object();
-    w.field("level", r.severity == Severity::Error ? "error" : "warning");
+    w.field("level", "error");
     w.end_object();
     w.end_object();
   }
@@ -103,7 +89,7 @@ void write_sarif(std::ostream& out, const ScanReport& report,
   for (const Finding& f : report.findings) {
     w.begin_object();
     w.field("ruleId", f.rule);
-    w.field("level", f.severity == Severity::Error ? "error" : "warning");
+    w.field("level", "error");
     w.key("message");
     w.begin_object();
     w.field("text", f.message);

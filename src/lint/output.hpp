@@ -3,7 +3,8 @@
 /// \file output.hpp
 /// Report rendering: human text (compiler-style, clickable in editors),
 /// machine JSON, and SARIF 2.1.0 for code-scanning UIs. All three render
-/// the same ScanReport, so every consumer sees identical findings.
+/// the same ScanReport, so every consumer sees identical findings. Every
+/// finding is written with level `error`.
 
 #include <cstddef>
 #include <ostream>
@@ -16,16 +17,14 @@
 namespace alert::analysis_tools {
 
 struct ScanReport {
-  std::vector<Finding> findings;  ///< post-waiver, post-baseline, sorted
+  std::vector<Finding> findings;  ///< post-waiver, sorted
   std::size_t files_scanned = 0;
-  std::size_t waived = 0;            ///< suppressed by inline waivers
-  std::size_t baseline_applied = 0;  ///< suppressed by the baseline file
-  /// Stale baseline entries, rendered "<rule> <path> — <reason>".
-  std::vector<std::string> stale_baseline;
+  std::size_t waived = 0;  ///< suppressed by inline waivers
 
-  [[nodiscard]] std::size_t error_count() const {
+  /// Findings that are unused waivers (rule stale-waiver).
+  [[nodiscard]] std::size_t stale_waivers() const {
     std::size_t n = 0;
-    for (const Finding& f : findings) n += f.severity == Severity::Error;
+    for (const Finding& f : findings) n += f.rule == stale_waiver_rule().id;
     return n;
   }
 };

@@ -8,21 +8,32 @@ namespace alert::analysis_tools {
 void Sink::emit(const RuleInfo& rule, const FileData& file, std::size_t line,
                 std::size_t column, std::string message) {
   std::lock_guard<std::mutex> lk(mutex_);
-  if (config_->disabled_rules.count(rule.id) != 0) return;
   if (file.waived(line, rule.id)) {
     ++waived_;
+    used_.emplace(file.rel_path, line, rule.id);
     return;
   }
-  Finding f;
-  f.rule = rule.id;
-  f.path = file.rel_path;
-  f.line = line;
-  f.column = column;
-  f.message = std::move(message);
-  f.severity = rule.severity;
-  const auto it = config_->severity_overrides.find(rule.id);
-  if (it != config_->severity_overrides.end()) f.severity = it->second;
-  findings_.push_back(std::move(f));
+  findings_.push_back(
+      {rule.id, file.rel_path, line, column, std::move(message)});
+}
+
+void Sink::flag_stale_waivers(const std::vector<FileData>& files,
+                              const std::set<std::string>& unjudged) {
+  std::lock_guard<std::mutex> lk(mutex_);
+  for (const FileData& f : files) {
+    for (const auto& [line, ids] : f.waivers) {
+      for (const std::string& id : ids) {
+        if (unjudged.count(id) != 0 ||
+            used_.count({f.rel_path, line, id}) != 0) {
+          continue;
+        }
+        findings_.push_back(
+            {stale_waiver_rule().id, f.rel_path, line, 1,
+             "waiver allow(" + id +
+                 ") suppresses no finding on this line — delete it"});
+      }
+    }
+  }
 }
 
 std::vector<Finding> Sink::take() {
@@ -31,6 +42,12 @@ std::vector<Finding> Sink::take() {
   findings_.erase(std::unique(findings_.begin(), findings_.end()),
                   findings_.end());
   return std::move(findings_);
+}
+
+const RuleInfo& stale_waiver_rule() {
+  static const RuleInfo kInfo{"stale-waiver",
+                              "inline waiver that suppresses nothing"};
+  return kInfo;
 }
 
 }  // namespace alert::analysis_tools

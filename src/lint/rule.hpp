@@ -5,15 +5,17 @@
 /// (`check_file`, run in parallel across files) and/or the whole scanned
 /// tree (`finish`, run serially afterwards — include-graph and cross-file
 /// declaration-sync rules need every file). Findings flow through a Sink,
-/// which applies inline waivers, per-rule severity overrides, and exact
-/// deduplication (one report per rule/line/message, matching the retired
-/// Python linter's one-hit-per-line-per-pattern behaviour).
+/// which applies inline waivers, remembers which waivers earned their keep
+/// (the rest are reported as stale), and deduplicates exactly (one report
+/// per rule/line/message, matching the retired Python linter's
+/// one-hit-per-line-per-pattern behaviour).
 
 #include <cstddef>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "lint/file_data.hpp"
@@ -26,18 +28,15 @@ class CallGraph;
 
 struct RuleInfo {
   std::string id;
-  std::string description;       ///< one-line, shown by --list-rules and SARIF
-  Severity severity = Severity::Error;
+  std::string description;  ///< one-line, shown by --list-rules and SARIF
 };
 
 /// Everything a rule's behaviour can be configured with. Path entries are
 /// forward-slash prefixes relative to the scan root; an entry ending in '/'
 /// matches the directory, otherwise it is a file-path prefix.
 struct AnalyzerConfig {
-  /// raw-random: files implementing the sanctioned RNG (exempt).
+  /// rng-discipline: files implementing the sanctioned RNG (exempt).
   std::vector<std::string> rng_impl_paths{"util/rng.hpp", "util/rng.cpp"};
-  /// wall-clock: directories owned by simulated time.
-  std::vector<std::string> wall_clock_dirs{"sim/", "net/", "routing/"};
   /// float-type: directories where positions/latencies accumulate.
   std::vector<std::string> float_dirs{"sim/", "net/", "routing/",
                                       "analysis/", "util/geometry"};
@@ -50,11 +49,6 @@ struct AnalyzerConfig {
   /// mutable-global: files sanctioned to hold process-wide mutable state.
   std::vector<std::string> mutable_global_allowlist{"util/check.cpp",
                                                     "util/logging.cpp"};
-  /// drop-reason-exhaustive: the canonical net::DropReason enumerator list;
-  /// a declaration that drifts from it is itself a violation.
-  std::vector<std::string> drop_reason_enumerators{
-      "OutOfRange",   "NoHandler", "TtlExpired",
-      "ChannelLoss",  "NodeDown",  "RetryExhausted"};
   /// module-layering: allowed direct include edges, module -> dependencies.
   /// Every top-level directory under the scan root that appears in a quoted
   /// include must be listed. Mirrors the DAG in docs/VERIFICATION.md.
@@ -87,42 +81,13 @@ struct AnalyzerConfig {
   /// rng-discipline / lock-discipline: callables whose lambda arguments run
   /// on util::ThreadPool worker threads.
   std::vector<std::string> worker_entry_points{"submit", "parallel_for"};
-  /// wallclock-in-sim: directories whose functions must not reach a host
-  /// clock read through the call graph (digest-sensitive simulated time).
-  std::vector<std::string> simtime_dirs{"core/", "sim/", "routing/"};
+  /// wallclock-in-sim: directories owned by simulated time — no host clock
+  /// read in them, directly or through the call graph.
+  std::vector<std::string> simtime_dirs{"core/", "sim/", "net/",
+                                        "routing/"};
   /// wallclock-in-sim: paths whose clock reads are sanctioned (the obs
   /// self-profiler measures host time by design and never feeds digests).
   std::vector<std::string> wallclock_exempt_paths{"obs/"};
-  /// hotpath-allocation: roots ("Class::name" or bare name) of the event
-  /// dispatch / MAC / channel hot paths. Functions transitively reachable
-  /// from these must not allocate. No function in src/ is named
-  /// "Simulator::step"; the self-test fixture
-  /// tools/lint_fixtures/sim/hotpath_alloc.cpp defines one and relies on it.
-  std::vector<std::string> hotpath_roots{
-      "Simulator::step",      "Simulator::run_until",
-      "Mac::acquire",         "ChannelModel::lose_frame",
-      "Network::deliver_broadcast", "Network::deliver_unicast",
-      "Network::send_hello"};
-  /// fp-accumulation-order: directories whose floating-point reductions
-  /// feed determinism digests — reassociation under PDES partitioning
-  /// would silently change the digest, so loop accumulations there must be
-  /// index-ordered (classic `for`) or routed through obs aggregation.
-  std::vector<std::string> fp_digest_dirs{"core/", "sim/", "routing/",
-                                          "scale/"};
-  /// sim-state-confinement: types whose instances are simulator-owned
-  /// state; shared instances must never be touched from ThreadPool worker
-  /// tasks (the PDES partition-safety precondition).
-  std::vector<std::string> sim_state_types{"Network", "Node", "Simulator",
-                                           "EventQueue"};
-  /// sim-state-confinement: methods on Simulator-typed objects that are
-  /// safe to call from workers — the dispatch context marshals the effect
-  /// onto the event loop.
-  std::vector<std::string> sim_dispatch_methods{
-      "schedule_in", "schedule_at", "schedule_periodic", "schedule"};
-  /// Per-rule severity overrides (default: every rule is an Error).
-  std::map<std::string, Severity> severity_overrides;
-  /// Rules disabled entirely.
-  std::set<std::string> disabled_rules;
 
   [[nodiscard]] static bool path_in(const std::string& rel_path,
                                     const std::vector<std::string>& prefixes) {
@@ -134,25 +99,34 @@ struct AnalyzerConfig {
 };
 
 /// Thread-safe finding collector. Emit is a no-op when the finding's line
-/// carries an inline waiver for the rule; waived emissions are counted so
-/// reports can show suppression totals.
+/// carries an inline waiver for the rule; the waiver is then marked used.
+/// Waived emissions are counted so reports can show suppression totals.
 class Sink {
  public:
-  explicit Sink(const AnalyzerConfig& config) : config_(&config) {}
-
   void emit(const RuleInfo& rule, const FileData& file, std::size_t line,
             std::size_t column, std::string message);
+
+  /// Report every waiver in `files` that absorbed no emission — including
+  /// one naming an unknown rule id — as a stale-waiver finding at its line.
+  /// Waivers for `unjudged` rules (switched off for this scan, so they had
+  /// no chance to fire) are skipped. Call after every rule has run.
+  void flag_stale_waivers(const std::vector<FileData>& files,
+                          const std::set<std::string>& unjudged);
 
   /// Sorted, deduplicated findings (call after all rules have run).
   [[nodiscard]] std::vector<Finding> take();
   [[nodiscard]] std::size_t waived_count() const { return waived_; }
 
  private:
-  const AnalyzerConfig* config_;
   std::mutex mutex_;
   std::vector<Finding> findings_;
+  /// (path, line, rule) of every waiver that absorbed an emission.
+  std::set<std::tuple<std::string, std::size_t, std::string>> used_;
   std::size_t waived_ = 0;
 };
+
+/// The catalog entry Sink::flag_stale_waivers reports under.
+[[nodiscard]] const RuleInfo& stale_waiver_rule();
 
 class Rule {
  public:

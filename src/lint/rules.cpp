@@ -7,12 +7,9 @@ namespace alert::analysis_tools {
 std::vector<std::unique_ptr<Rule>> make_default_rules(
     const AnalyzerConfig& config) {
   std::vector<std::unique_ptr<Rule>> rules;
-  rules.push_back(detail::make_raw_random(config));
-  rules.push_back(detail::make_wall_clock(config));
   rules.push_back(detail::make_float_type(config));
   rules.push_back(detail::make_raw_stdout(config));
   rules.push_back(detail::make_iterator_invalidation());
-  rules.push_back(detail::make_drop_reason(config));
   rules.push_back(detail::make_module_layering(config));
   rules.push_back(detail::make_unordered_iteration(config));
   rules.push_back(detail::make_pointer_ordering());
@@ -21,11 +18,6 @@ std::vector<std::unique_ptr<Rule>> make_default_rules(
   rules.push_back(detail::make_rng_discipline(config));
   rules.push_back(detail::make_wallclock_in_sim(config));
   rules.push_back(detail::make_lock_discipline(config));
-  rules.push_back(detail::make_hotpath_allocation(config));
-  rules.push_back(detail::make_lock_order_cycle());
-  rules.push_back(detail::make_use_after_move());
-  rules.push_back(detail::make_fp_accumulation_order(config));
-  rules.push_back(detail::make_sim_state_confinement(config));
   return rules;
 }
 

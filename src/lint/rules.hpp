@@ -5,12 +5,14 @@
 /// against a config; docs/VERIFICATION.md documents each rule's rationale.
 ///
 /// Ported from the retired Python alert-lint (token-based now):
-///   raw-random, wall-clock, float-type, raw-stdout, iterator-invalidation,
-///   drop-reason-exhaustive (header-self-sufficiency lives in the analyzer —
-///   it shells out to the compiler rather than matching tokens).
+///   float-type, raw-stdout, iterator-invalidation (header-self-sufficiency
+///   lives in the analyzer — it shells out to the compiler rather than
+///   matching tokens).
 /// New rules regex could not express:
 ///   module-layering, unordered-iteration-ordering, pointer-ordering,
 ///   exhaustive-enum, mutable-global.
+/// Whole-program determinism rules:
+///   rng-discipline, wallclock-in-sim, lock-discipline.
 
 #include <memory>
 #include <vector>

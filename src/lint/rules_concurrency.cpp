@@ -1,22 +1,23 @@
 /// \file rules_concurrency.cpp
-/// The whole-program rule families built on ProgramIndex/CallGraph — the
-/// static side of the PDES/scale arc (ROADMAP items 1 and 3):
+/// The rule families that guard replication determinism across files and
+/// threads, built on ProgramIndex/CallGraph:
 ///
 ///   rng-discipline      randomness must flow from the replication-forked
-///                       util::Rng — no entropy/time seeding, no RNG engines
-///                       captured by reference into ThreadPool worker tasks
-///   wallclock-in-sim    no host clock read reachable (through calls) from
-///                       simulated-time code; obs profiling is allowlisted
+///                       util::Rng — no raw C/std randomness sources, no
+///                       entropy/time seeding, no RNG engines captured by
+///                       reference into ThreadPool worker tasks
+///   wallclock-in-sim    no host clock read in simulated-time code, nor
+///                       one reachable from it through calls; obs
+///                       profiling is allowlisted
 ///   lock-discipline     state written both inside and outside a worker
 ///                       task must share a mutex on every write
-///   hotpath-allocation  no allocation in functions reachable from event
-///                       dispatch, the MAC, or the channel model
 ///
-/// All four run in finish_program() against the one shared index/graph the
-/// analyzer builds per scan.
+/// The whole-program halves run in finish_program() against the one shared
+/// index/graph the analyzer builds per scan.
 
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -63,17 +64,49 @@ std::string entropy_in_args(const CodeView& v, std::size_t open,
 }
 
 /// rng-discipline: seeds must come from the experiment configuration and
-/// flow down through util::Rng::fork(stream); entropy-seeded or worker-
-/// shared engines make replications irreproducible (and racy). The RNG
-/// implementation itself is exempt, like raw-random's rng_impl_paths.
+/// flow down through util::Rng::fork(stream). Raw randomness sources
+/// (rand()/srand(), std::random_device, std::mt19937*,
+/// std::default_random_engine — anywhere in a file, namespace scope
+/// included), entropy-seeded engines and worker-shared engines make
+/// replications irreproducible (and racy). The RNG implementation itself
+/// (rng_impl_paths) is exempt.
 class RngDisciplineRule final : public Rule {
  public:
   explicit RngDisciplineRule(const AnalyzerConfig& cfg) : cfg_(&cfg) {
     info_ = {"rng-discipline",
-             "randomness outside the replication-forked RNG",
-             Severity::Error};
+             "randomness outside the replication-forked RNG"};
   }
   [[nodiscard]] const RuleInfo& info() const override { return info_; }
+
+  /// Raw randomness sources, token by token over the whole file.
+  void check_file(const FileData& file, Sink& sink) override {
+    if (AnalyzerConfig::path_in(file.rel_path, cfg_->rng_impl_paths)) return;
+    const CodeView v(file);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const Token& t = v.tok(i);
+      if (t.kind != TokenKind::Identifier) continue;
+      if ((t.text == "rand" || t.text == "srand") && v.is_punct(i + 1, "(")) {
+        // Qualified names other than std:: are someone else's rand; member
+        // access (x.rand(), p->rand()) likewise.
+        if (i > 0 && (v.is_punct(i - 1, ".") || v.is_punct(i - 1, "->")))
+          continue;
+        if (i > 0 && v.is_punct(i - 1, "::") &&
+            !(i > 1 && v.is_ident(i - 2, "std")))
+          continue;
+        report_raw(sink, file, t, "raw C " + t.text + "()");
+      } else if (t.text == "std" && v.is_punct(i + 1, "::") &&
+                 i + 2 < v.size()) {
+        const std::string& name = v.tok(i + 2).text;
+        if (name == "random_device") {
+          report_raw(sink, file, t, "std::random_device");
+        } else if (name.rfind("mt19937", 0) == 0) {
+          report_raw(sink, file, t, "std::mt19937");
+        } else if (name == "default_random_engine") {
+          report_raw(sink, file, t, "std::default_random_engine");
+        }
+      }
+    }
+  }
 
   void finish_program(const ProgramIndex& index, const CallGraph& graph,
                       Sink& sink) override {
@@ -88,6 +121,13 @@ class RngDisciplineRule final : public Rule {
   }
 
  private:
+  void report_raw(Sink& sink, const FileData& file, const Token& t,
+                  const std::string& what) {
+    sink.emit(info_, file, t.line, t.column,
+              what + ": all randomness must come from util/rng "
+                     "(seeded, reproducible)");
+  }
+
   void check_seeding(const CodeView& v, const FunctionInfo& fn, Sink& sink) {
     for (std::size_t j = fn.body_begin + 1; j < fn.body_end; ++j) {
       const Token& t = v.tok(j);
@@ -172,22 +212,34 @@ class RngDisciplineRule final : public Rule {
   RuleInfo info_;
 };
 
-/// wallclock-in-sim: simulated time (core/, sim/, routing/) must never
-/// observe host time, directly or through calls — the determinism digests
-/// and the paper's latency metrics are defined over sim::Time alone. The
-/// obs self-profiler reads host clocks by design and never feeds digests,
-/// so clock reads in wallclock_exempt_paths are not sources. Direct reads
-/// inside the legacy wall-clock dirs stay the per-file wall-clock rule's
-/// job; this rule adds the transitive closure and the remaining simtime
-/// dirs (core/).
+/// wallclock-in-sim: simulated time (simtime_dirs) must never observe host
+/// time, directly or through calls — the determinism digests and the
+/// paper's latency metrics are defined over sim::Time alone. Direct reads
+/// are found token by token over the whole file; the transitive closure
+/// comes from the call graph. The obs self-profiler reads host clocks by
+/// design and never feeds digests, so clock reads in wallclock_exempt_paths
+/// are not sources.
 class WallclockInSimRule final : public Rule {
  public:
   explicit WallclockInSimRule(const AnalyzerConfig& cfg) : cfg_(&cfg) {
     info_ = {"wallclock-in-sim",
-             "host clock reachable from simulated-time code",
-             Severity::Error};
+             "host clock read in or reachable from simulated-time code"};
   }
   [[nodiscard]] const RuleInfo& info() const override { return info_; }
+
+  void check_file(const FileData& file, Sink& sink) override {
+    if (!AnalyzerConfig::path_in(file.rel_path, cfg_->simtime_dirs)) return;
+    const CodeView v(file);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (const std::optional<ClockUse> use = clock_read_at(v, i)) {
+        sink.emit(info_, file, use->line, use->column,
+                  "host clock read " + use->what +
+                      " in digest-sensitive simulated-time code — use "
+                      "sim::Time, or move host timing into an obs "
+                      "profiling scope");
+      }
+    }
+  }
 
   void finish_program(const ProgramIndex& index, const CallGraph& graph,
                       Sink& sink) override {
@@ -204,24 +256,13 @@ class WallclockInSimRule final : public Rule {
 
     for (std::size_t fi = 0; fi < fns.size(); ++fi) {
       const FunctionInfo& fn = fns[fi];
-      if (!AnalyzerConfig::path_in(fn.file->rel_path, cfg_->simtime_dirs))
-        continue;
-      if (!fn.clock_uses.empty()) {
-        // Direct read. The per-file wall-clock rule owns the legacy dirs;
-        // report only simtime dirs it does not cover (core/).
-        if (!AnalyzerConfig::path_in(fn.file->rel_path,
-                                     cfg_->wall_clock_dirs)) {
-          const ClockUse& use = fn.clock_uses.front();
-          sink.emit(info_, *fn.file, use.line, use.column,
-                    "'" + fn.qualified + "' reads host clock " + use.what +
-                        " in digest-sensitive simulated-time code — use "
-                        "sim::Time, or move host timing into an obs "
-                        "profiling scope");
-        }
+      // Direct readers were reported by check_file.
+      if (!AnalyzerConfig::path_in(fn.file->rel_path, cfg_->simtime_dirs) ||
+          !fn.clock_uses.empty() || rev.reached[fi] == 0 ||
+          rev.via[fi] == nullptr) {
         continue;
       }
-      if (rev.reached[fi] == 0 || rev.via[fi] == nullptr) continue;
-      // Transitive: follow the hop chain to the ultimate clock reader.
+      // Follow the hop chain to the ultimate clock reader.
       std::size_t src = fi;
       while (rev.next[src] != CallGraph::npos) src = rev.next[src];
       const FunctionInfo& reader = fns[src];
@@ -253,8 +294,7 @@ class LockDisciplineRule final : public Rule {
  public:
   explicit LockDisciplineRule(const AnalyzerConfig& cfg) : cfg_(&cfg) {
     info_ = {"lock-discipline",
-             "worker-task writes lack a common mutex guard",
-             Severity::Error};
+             "worker-task writes lack a common mutex guard"};
   }
   [[nodiscard]] const RuleInfo& info() const override { return info_; }
 
@@ -340,69 +380,6 @@ class LockDisciplineRule final : public Rule {
   RuleInfo info_;
 };
 
-/// hotpath-allocation: the per-event path (Simulator dispatch, MAC
-/// acquisition, channel fate decisions, packet delivery) runs millions of
-/// times per replication — ROADMAP item 1 targets 100k–1M nodes, where any
-/// allocation here dominates the profile. Findings aggregate per
-/// (function, allocation kind) with the reachability chain in the message;
-/// deliberate allocations get a waiver naming the pooling plan.
-class HotpathAllocationRule final : public Rule {
- public:
-  explicit HotpathAllocationRule(const AnalyzerConfig& cfg) : cfg_(&cfg) {
-    info_ = {"hotpath-allocation",
-             "allocation in the event/MAC/channel hot path",
-             Severity::Error};
-  }
-  [[nodiscard]] const RuleInfo& info() const override { return info_; }
-
-  void finish_program(const ProgramIndex& index, const CallGraph& graph,
-                      Sink& sink) override {
-    std::vector<std::size_t> roots;
-    for (const std::string& spec : cfg_->hotpath_roots) {
-      for (const std::size_t fi : graph.match(spec)) roots.push_back(fi);
-    }
-    if (roots.empty()) return;
-    const CallGraph::Reachability r = graph.reach(roots);
-
-    const std::vector<FunctionInfo>& fns = index.functions();
-    for (std::size_t fi = 0; fi < fns.size(); ++fi) {
-      if (r.reached[fi] == 0 || fns[fi].allocs.empty()) continue;
-      const FunctionInfo& fn = fns[fi];
-      struct KindAgg {
-        const AllocSite* first = nullptr;
-        std::size_t count = 0;
-      };
-      std::map<AllocSite::Kind, KindAgg> agg;
-      std::vector<AllocSite::Kind> order;
-      for (const AllocSite& a : fn.allocs) {
-        KindAgg& k = agg[a.kind];
-        if (k.first == nullptr) {
-          k.first = &a;
-          order.push_back(a.kind);
-        }
-        ++k.count;
-      }
-      for (const AllocSite::Kind kind : order) {
-        const KindAgg& k = agg[kind];
-        const std::string more =
-            k.count > 1
-                ? " (+" + std::to_string(k.count - 1) + " more in this "
-                      "function)"
-                : std::string();
-        sink.emit(info_, *fn.file, k.first->line, k.first->column,
-                  std::string(alloc_kind_name(kind)) + " '" + k.first->what +
-                      "' in '" + fn.qualified + "', reachable from the hot "
-                      "path: " + graph.chain(r, fi) + more +
-                      " — pre-allocate or pool (ROADMAP scale item)");
-      }
-    }
-  }
-
- private:
-  const AnalyzerConfig* cfg_;
-  RuleInfo info_;
-};
-
 }  // namespace
 
 namespace detail {
@@ -415,9 +392,6 @@ std::unique_ptr<Rule> make_wallclock_in_sim(const AnalyzerConfig& c) {
 }
 std::unique_ptr<Rule> make_lock_discipline(const AnalyzerConfig& c) {
   return std::make_unique<LockDisciplineRule>(c);
-}
-std::unique_ptr<Rule> make_hotpath_allocation(const AnalyzerConfig& c) {
-  return std::make_unique<HotpathAllocationRule>(c);
 }
 
 }  // namespace detail

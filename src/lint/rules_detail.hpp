@@ -10,12 +10,9 @@
 
 namespace alert::analysis_tools::detail {
 
-std::unique_ptr<Rule> make_raw_random(const AnalyzerConfig& c);
-std::unique_ptr<Rule> make_wall_clock(const AnalyzerConfig& c);
 std::unique_ptr<Rule> make_float_type(const AnalyzerConfig& c);
 std::unique_ptr<Rule> make_raw_stdout(const AnalyzerConfig& c);
 std::unique_ptr<Rule> make_iterator_invalidation();
-std::unique_ptr<Rule> make_drop_reason(const AnalyzerConfig& c);
 
 std::unique_ptr<Rule> make_module_layering(const AnalyzerConfig& c);
 std::unique_ptr<Rule> make_unordered_iteration(const AnalyzerConfig& c);
@@ -26,11 +23,5 @@ std::unique_ptr<Rule> make_mutable_global(const AnalyzerConfig& c);
 std::unique_ptr<Rule> make_rng_discipline(const AnalyzerConfig& c);
 std::unique_ptr<Rule> make_wallclock_in_sim(const AnalyzerConfig& c);
 std::unique_ptr<Rule> make_lock_discipline(const AnalyzerConfig& c);
-std::unique_ptr<Rule> make_hotpath_allocation(const AnalyzerConfig& c);
-
-std::unique_ptr<Rule> make_lock_order_cycle();
-std::unique_ptr<Rule> make_use_after_move();
-std::unique_ptr<Rule> make_fp_accumulation_order(const AnalyzerConfig& c);
-std::unique_ptr<Rule> make_sim_state_confinement(const AnalyzerConfig& c);
 
 }  // namespace alert::analysis_tools::detail

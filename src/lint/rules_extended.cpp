@@ -60,8 +60,7 @@ class ModuleLayeringRule final : public Rule {
  public:
   explicit ModuleLayeringRule(const AnalyzerConfig& cfg) : cfg_(&cfg) {
     info_ = {"module-layering",
-             "include edge violates the module dependency DAG",
-             Severity::Error};
+             "include edge violates the module dependency DAG"};
   }
   [[nodiscard]] const RuleInfo& info() const override { return info_; }
 
@@ -216,8 +215,7 @@ class UnorderedIterationRule final : public Rule {
  public:
   explicit UnorderedIterationRule(const AnalyzerConfig& cfg) : cfg_(&cfg) {
     info_ = {"unordered-iteration-ordering",
-             "unordered-container iteration in a canonical-output path",
-             Severity::Error};
+             "unordered-container iteration in a canonical-output path"};
   }
   [[nodiscard]] const RuleInfo& info() const override { return info_; }
 
@@ -284,7 +282,7 @@ class PointerOrderingRule final : public Rule {
  public:
   PointerOrderingRule() {
     info_ = {"pointer-ordering",
-             "ordering keyed on raw pointer values", Severity::Error};
+             "ordering keyed on raw pointer values"};
   }
   [[nodiscard]] const RuleInfo& info() const override { return info_; }
 
@@ -393,16 +391,16 @@ class PointerOrderingRule final : public Rule {
 };
 
 /// exhaustive-enum: any enum whose definition carries an
-/// `// alert-lint: exhaustive-enum` tag (same line or the line above) gets
-/// the DropReason treatment — every switch over it must name every
-/// enumerator and must not carry `default:`; re-declarations of a tagged
-/// enum elsewhere must stay in sync with the first declaration.
+/// `// alert-lint: exhaustive-enum` tag (same line or the line above) —
+/// net::DropReason among them — gets exhaustive switches: every switch
+/// over it must name every enumerator and must not carry `default:`.
+/// Tagged re-declarations must stay in sync with the first declaration,
+/// headers read before sources: an enum's home is the header defining it.
 class ExhaustiveEnumRule final : public Rule {
  public:
   ExhaustiveEnumRule() {
     info_ = {"exhaustive-enum",
-             "non-exhaustive or defaulted switch over a tagged enum",
-             Severity::Error};
+             "non-exhaustive or defaulted switch over a tagged enum"};
   }
   [[nodiscard]] const RuleInfo& info() const override { return info_; }
 
@@ -414,7 +412,14 @@ class ExhaustiveEnumRule final : public Rule {
     };
     std::map<std::string, Decl> tagged;
 
-    for (const FileData& f : files) {
+    std::vector<const FileData*> headers_first;
+    for (const FileData& f : files) headers_first.push_back(&f);
+    std::stable_partition(
+        headers_first.begin(), headers_first.end(), [](const FileData* f) {
+          return f->rel_path.ends_with(".hpp") || f->rel_path.ends_with(".h");
+        });
+    for (const FileData* fp : headers_first) {
+      const FileData& f = *fp;
       std::set<std::size_t> tag_lines;
       for (const Token& t : f.tokens) {
         if ((t.kind == TokenKind::LineComment ||
@@ -437,7 +442,6 @@ class ExhaustiveEnumRule final : public Rule {
         }
         if (tag_lines.count(line) == 0 && tag_lines.count(line - 1) == 0)
           continue;
-        if (name == "DropReason") continue;  // dedicated rule owns it
         const auto it = tagged.find(name);
         if (it == tagged.end()) {
           tagged.emplace(name, Decl{&f, line, std::move(enumerators)});
@@ -498,8 +502,7 @@ class MutableGlobalRule final : public Rule {
  public:
   explicit MutableGlobalRule(const AnalyzerConfig& cfg) : cfg_(&cfg) {
     info_ = {"mutable-global",
-             "mutable static-storage state outside the allowlist",
-             Severity::Error};
+             "mutable static-storage state outside the allowlist"};
   }
   [[nodiscard]] const RuleInfo& info() const override { return info_; }
 

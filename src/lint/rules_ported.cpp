@@ -13,117 +13,10 @@
 
 #include "lint/rule.hpp"
 #include "lint/rules_detail.hpp"
-#include "lint/structure.hpp"
 
 namespace alert::analysis_tools {
 
 namespace {
-
-/// raw-random: rand()/srand()/std::random_device/std::mt19937*/
-/// std::default_random_engine anywhere outside util/rng.* — all randomness
-/// must flow from the seeded xoshiro generator.
-class RawRandomRule final : public Rule {
- public:
-  explicit RawRandomRule(const AnalyzerConfig& cfg) : cfg_(&cfg) {
-    info_ = {"raw-random",
-             "unseeded randomness source outside util/rng", Severity::Error};
-  }
-  [[nodiscard]] const RuleInfo& info() const override { return info_; }
-
-  void check_file(const FileData& file, Sink& sink) override {
-    if (AnalyzerConfig::path_in(file.rel_path, cfg_->rng_impl_paths)) return;
-    const CodeView v(file);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      const Token& t = v.tok(i);
-      if (t.kind != TokenKind::Identifier) continue;
-      if ((t.text == "rand" || t.text == "srand") && v.is_punct(i + 1, "(")) {
-        // Qualified names other than std:: are someone else's rand; member
-        // access (x.rand(), p->rand()) likewise.
-        if (i > 0 && (v.is_punct(i - 1, ".") || v.is_punct(i - 1, "->")))
-          continue;
-        if (i > 0 && v.is_punct(i - 1, "::") &&
-            !(i > 1 && v.is_ident(i - 2, "std")))
-          continue;
-        report(sink, file, t, "raw C " + t.text + "()");
-      } else if (t.text == "std" && v.is_punct(i + 1, "::") &&
-                 i + 2 < v.size()) {
-        const std::string& name = v.tok(i + 2).text;
-        if (name == "random_device") {
-          report(sink, file, t, "std::random_device");
-        } else if (name.rfind("mt19937", 0) == 0) {
-          report(sink, file, t, "std::mt19937");
-        } else if (name == "default_random_engine") {
-          report(sink, file, t, "std::default_random_engine");
-        }
-      }
-    }
-  }
-
- private:
-  void report(Sink& sink, const FileData& file, const Token& t,
-              const std::string& what) {
-    sink.emit(info_, file, t.line, t.column,
-              what + ": all randomness must come from util/rng "
-                     "(seeded, reproducible)");
-  }
-  const AnalyzerConfig* cfg_;
-  RuleInfo info_;
-};
-
-/// wall-clock: host-clock reads inside sim/, net/, routing/ — the simulator
-/// owns time; reading the host clock makes results machine-dependent.
-class WallClockRule final : public Rule {
- public:
-  explicit WallClockRule(const AnalyzerConfig& cfg) : cfg_(&cfg) {
-    info_ = {"wall-clock",
-             "host clock read inside a simulated-time component",
-             Severity::Error};
-  }
-  [[nodiscard]] const RuleInfo& info() const override { return info_; }
-
-  void check_file(const FileData& file, Sink& sink) override {
-    if (!AnalyzerConfig::path_in(file.rel_path, cfg_->wall_clock_dirs))
-      return;
-    const CodeView v(file);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      const Token& t = v.tok(i);
-      if (t.kind != TokenKind::Identifier) continue;
-      if ((t.text == "time" || t.text == "clock") && !v.prev_is_accessor(i) &&
-          v.is_punct(i + 1, "(")) {
-        // time() / time(NULL) / time(nullptr) / time(0); clock().
-        std::size_t j = i + 2;
-        if (v.is_ident(j, "NULL") || v.is_ident(j, "nullptr") ||
-            v.is(j, "0")) {
-          ++j;
-        }
-        if (!v.is_punct(j, ")")) continue;
-        if (t.text == "clock" && j != i + 2) continue;  // clock() only
-        report(sink, file, t, std::string("C ") + t.text + "()");
-      } else if (t.text.find("gettimeofday") != std::string::npos ||
-                 t.text.find("clock_gettime") != std::string::npos) {
-        report(sink, file, t, "POSIX wall clock");
-      } else if (t.text == "std" && v.is_punct(i + 1, "::") &&
-                 v.is_ident(i + 2, "chrono") && v.is_punct(i + 3, "::") &&
-                 i + 4 < v.size()) {
-        const std::string& clk = v.tok(i + 4).text;
-        if (clk == "system_clock" || clk == "steady_clock" ||
-            clk == "high_resolution_clock") {
-          report(sink, file, t, "std::chrono clock");
-        }
-      }
-    }
-  }
-
- private:
-  void report(Sink& sink, const FileData& file, const Token& t,
-              const std::string& what) {
-    sink.emit(info_, file, t.line, t.column,
-              what + ": simulator components may only use simulated time "
-                     "(sim::Time)");
-  }
-  const AnalyzerConfig* cfg_;
-  RuleInfo info_;
-};
 
 /// float-type: `float` in geometry/sim/net/routing/analysis — the 24-bit
 /// mantissa drifts position/latency accumulation between compilers. The
@@ -132,8 +25,7 @@ class FloatTypeRule final : public Rule {
  public:
   explicit FloatTypeRule(const AnalyzerConfig& cfg) : cfg_(&cfg) {
     info_ = {"float-type",
-             "float used where accumulation requires double",
-             Severity::Error};
+             "float used where accumulation requires double"};
   }
   [[nodiscard]] const RuleInfo& info() const override { return info_; }
 
@@ -162,8 +54,7 @@ class RawStdoutRule final : public Rule {
  public:
   explicit RawStdoutRule(const AnalyzerConfig& cfg) : cfg_(&cfg) {
     info_ = {"raw-stdout",
-             "stdout write outside util/logging and the obs sinks",
-             Severity::Error};
+             "stdout write outside util/logging and the obs sinks"};
   }
   [[nodiscard]] const RuleInfo& info() const override { return info_; }
 
@@ -211,8 +102,7 @@ class IteratorInvalidationRule final : public Rule {
  public:
   IteratorInvalidationRule() {
     info_ = {"iterator-invalidation",
-             "container mutated inside a range-for over itself",
-             Severity::Error};
+             "container mutated inside a range-for over itself"};
   }
   [[nodiscard]] const RuleInfo& info() const override { return info_; }
 
@@ -302,77 +192,10 @@ class IteratorInvalidationRule final : public Rule {
   RuleInfo info_;
 };
 
-/// drop-reason-exhaustive: every switch over net::DropReason must name all
-/// enumerators and carry no default; the declaration itself must match the
-/// configured canonical list so the two can never drift silently.
-class DropReasonRule final : public Rule {
- public:
-  explicit DropReasonRule(const AnalyzerConfig& cfg) : cfg_(&cfg) {
-    info_ = {"drop-reason-exhaustive",
-             "non-exhaustive or defaulted switch over net::DropReason",
-             Severity::Error};
-  }
-  [[nodiscard]] const RuleInfo& info() const override { return info_; }
-
-  void check_file(const FileData& file, Sink& sink) override {
-    const CodeView v(file);
-    const std::vector<std::string>& canon = cfg_->drop_reason_enumerators;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      std::string name;
-      std::vector<std::string> declared;
-      std::size_t line = 0;
-      if (!v.is_ident(i, "enum") ||
-          !parse_enum_definition(v, i, &name, &declared, &line) ||
-          name != "DropReason") {
-        continue;
-      }
-      if (declared != canon) {
-        sink.emit(info_, file, line, v.tok(i).column,
-                  "enum class DropReason declares [" + join(declared) +
-                      "] but the analyzer's canonical list is [" +
-                      join(canon) +
-                      "] — update the drop-reason config (and every "
-                      "switch) together");
-      }
-    }
-    for (const SwitchInfo& sw : collect_switches(v)) {
-      std::set<std::string> cases;
-      for (const auto& [type, enumerator] : sw.cases) {
-        if (type == "DropReason") cases.insert(enumerator);
-      }
-      if (cases.empty()) continue;
-      if (sw.has_default) {
-        sink.emit(info_, file, sw.line, sw.column,
-                  "'default:' in a switch over net::DropReason swallows "
-                  "newly added reasons — enumerate every case instead");
-      }
-      std::vector<std::string> missing;
-      for (const std::string& r : canon) {
-        if (cases.count(r) == 0) missing.push_back(r);
-      }
-      if (!missing.empty()) {
-        sink.emit(info_, file, sw.line, sw.column,
-                  "switch over net::DropReason is missing case(s): " +
-                      join(missing));
-      }
-    }
-  }
-
- private:
-  const AnalyzerConfig* cfg_;
-  RuleInfo info_;
-};
-
 }  // namespace
 
 namespace detail {
 
-std::unique_ptr<Rule> make_raw_random(const AnalyzerConfig& c) {
-  return std::make_unique<RawRandomRule>(c);
-}
-std::unique_ptr<Rule> make_wall_clock(const AnalyzerConfig& c) {
-  return std::make_unique<WallClockRule>(c);
-}
 std::unique_ptr<Rule> make_float_type(const AnalyzerConfig& c) {
   return std::make_unique<FloatTypeRule>(c);
 }
@@ -381,9 +204,6 @@ std::unique_ptr<Rule> make_raw_stdout(const AnalyzerConfig& c) {
 }
 std::unique_ptr<Rule> make_iterator_invalidation() {
   return std::make_unique<IteratorInvalidationRule>();
-}
-std::unique_ptr<Rule> make_drop_reason(const AnalyzerConfig& c) {
-  return std::make_unique<DropReasonRule>(c);
 }
 
 }  // namespace detail

@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file structure.hpp
-/// Structural token scanners shared by rules: switch-statement case
-/// collection and enum-class definition parsing (used by both the
-/// drop-reason rule and the generalized exhaustive-enum rule).
+/// Structural token scanners for the exhaustive-enum rule: switch-statement
+/// case collection and enum-class definition parsing.
 
 #include <cstddef>
 #include <string>

@@ -63,6 +63,7 @@ class PseudonymProvider {
   virtual Pseudonym make(const Node& node, sim::Time now) = 0;
 };
 
+// alert-lint: exhaustive-enum
 enum class DropReason : std::uint8_t {
   OutOfRange,     ///< unicast receiver moved out of radio range
   NoHandler,      ///< no protocol attached
@@ -73,7 +74,8 @@ enum class DropReason : std::uint8_t {
 };
 
 /// Number of DropReason enumerators (sizes per-reason counter arrays; the
-/// alert-lint drop-reason-exhaustive rule keeps switches in sync).
+/// analyzer's exhaustive-enum rule keeps every switch over the tagged enum
+/// in sync).
 inline constexpr std::size_t kDropReasonCount = 6;
 
 /// Ledger fate matching a net-layer drop cause, for closing a uid whose

@@ -339,10 +339,11 @@ constexpr Pin kScaleMacroDurationS{5, 2};
 constexpr Pin kLintFiles{160, 24};
 constexpr Pin kLintRepeats{5, 2};
 
-/// One deterministic synthetic TU: exercises the flow-sensitive families
-/// (CFG + dataflow over loops and moves, lock-graph edges from the guard
-/// pair) and the token rules, while staying finding-free so the measured
-/// cost is analysis, not Sink/report traffic. Only names vary with `i`.
+/// One deterministic synthetic TU: loops, a lock-guard pair, a move and a
+/// switch for the symbol index and every rule to walk, while staying
+/// finding-free so the measured cost is analysis, not Sink/report traffic.
+/// Only names vary with `i`. The text is frozen so lint_scan_ms stays
+/// comparable across analyzer versions.
 [[nodiscard]] std::string lint_synthetic_source(std::size_t i) {
   const std::string n = std::to_string(i);
   std::string out;

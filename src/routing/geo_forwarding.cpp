@@ -51,9 +51,7 @@ const net::NeighborInfo* perimeter_next_hop(const net::Node& self,
     // Counterclockwise sweep from the reference direction; pick the first
     // edge strictly after it (right-hand rule).
     double delta = ang - ref;
-    // Angle normalisation, not a reduction: each pass adds the same 2π
-    // constant, so the result is order-free by construction.
-    while (delta <= 1e-12) delta += 2.0 * M_PI;  // alert-lint: allow(fp-accumulation-order)
+    while (delta <= 1e-12) delta += 2.0 * M_PI;
     if (best == nullptr || delta < best_delta) {
       best = n;
       best_delta = delta;

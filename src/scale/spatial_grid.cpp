@@ -102,23 +102,21 @@ void SpatialGrid::update(std::uint32_t id, util::Vec2 a, util::Vec2 b) {
       (std::abs(static_cast<std::int64_t>(ex) - cx) +
        std::abs(static_cast<std::int64_t>(ey) - cy)) + 4;
   while ((cx != ex || cy != ey) && guard-- > 0) {
-    // Amanatides–Woo ray marching: the t_max updates are a fixed-order
-    // traversal state machine, not a reduction — the loop order IS the
-    // algorithm, so reassociation cannot apply.
+    // Amanatides–Woo ray marching.
     if (t_max_x < t_max_y) {
       cx = static_cast<std::uint32_t>(static_cast<std::int64_t>(cx) + step_x);
-      t_max_x += t_delta_x;  // alert-lint: allow(fp-accumulation-order)
+      t_max_x += t_delta_x;
     } else if (t_max_y < t_max_x) {
       cy = static_cast<std::uint32_t>(static_cast<std::int64_t>(cy) + step_y);
-      t_max_y += t_delta_y;  // alert-lint: allow(fp-accumulation-order)
+      t_max_y += t_delta_y;
     } else {
       // Exact corner crossing: the segment touches the two side cells only
       // at a point, which the query box's kQueryEps pad already absorbs —
       // step both axes.
       cx = static_cast<std::uint32_t>(static_cast<std::int64_t>(cx) + step_x);
       cy = static_cast<std::uint32_t>(static_cast<std::int64_t>(cy) + step_y);
-      t_max_x += t_delta_x;  // alert-lint: allow(fp-accumulation-order)
-      t_max_y += t_delta_y;  // alert-lint: allow(fp-accumulation-order)
+      t_max_x += t_delta_x;
+      t_max_y += t_delta_y;
     }
     if (cx >= cols_ || cy >= rows_) break;  // fp drift past the clamped end
     insert(id, cy * cols_ + cx);

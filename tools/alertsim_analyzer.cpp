@@ -4,17 +4,15 @@
 /// rules (module layering, include cycles, exhaustive-enum sync).
 ///
 /// Modes:
-///   alertsim-analyzer [--root=src] [--baseline=FILE] [--format=text|json|
-///       sarif] [--output=FILE] [--sarif-out=FILE] [--skip-headers]
+///   alertsim-analyzer [--root=src] [--format=text|json|sarif]
+///       [--output=FILE] [--sarif-out=FILE] [--skip-headers]
 ///       [--cxx=BIN] [--diff-base=REF] [--threads=N]
 ///       [--disable=rule,rule,...] [--exclude=prefix,prefix,...]
-///       [--stats] [--stats-out=FILE] [--lock-graph-dot=FILE]
+///       [--stats] [--stats-out=FILE]
 ///   alertsim-analyzer --self-test [--fixtures=DIR] [--parity=FILE]
-///   alertsim-analyzer --write-baseline=FILE [--root=src]
-///   alertsim-analyzer --prune-baseline --baseline=FILE [--root=src]
 ///   alertsim-analyzer --list-rules
 ///
-/// Exit status: 0 clean, 1 findings (or stale/malformed baseline), 2 usage
+/// Exit status: 0 clean, 1 findings (stale waivers included), 2 usage
 /// error — the same contract the Python linter had.
 
 #include <algorithm>
@@ -29,7 +27,6 @@
 #include <vector>
 
 #include "lint/analyzer.hpp"
-#include "lint/baseline.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -138,8 +135,7 @@ std::string render_counts(const std::map<std::string, std::size_t>& m) {
 
 /// Fixture self-test: lint the fixture tree, compare each file's finding
 /// counts against its EXPECT annotations, then verify exact location-level
-/// parity with the retired Python linter's recorded findings for the
-/// legacy rules.
+/// findings for every rule parity.expected names.
 int run_self_test(const std::string& fixtures, const std::string& parity) {
   lint::AnalyzerOptions options;
   options.root = fixtures;
@@ -171,18 +167,19 @@ int run_self_test(const std::string& fixtures, const std::string& parity) {
     }
   }
 
-  // Location-level parity with the retired Python linter. parity.expected
-  // was generated by running it over these fixtures; the token rules must
-  // reproduce it finding-for-finding.
-  static const std::set<std::string> kLegacyRules{
-      "raw-random",           "wall-clock",  "float-type",
-      "iterator-invalidation", "raw-stdout", "drop-reason-exhaustive"};
+  // Location-level pins. parity.expected began as the retired Python
+  // linter's findings over these fixtures; each `path:line rule` line pins
+  // one finding, and every rule it names must reproduce its lines exactly
+  // (the rules that absorbed a linter rule are pinned with all of theirs).
   std::vector<std::string> expected_parity;
+  std::set<std::string> pinned_rules;
   {
     std::istringstream in(read_file_or_empty(parity));
     std::string line;
     while (std::getline(in, line)) {
-      if (!line.empty() && line.front() != '#') expected_parity.push_back(line);
+      if (line.empty() || line.front() == '#') continue;
+      expected_parity.push_back(line);
+      pinned_rules.insert(line.substr(line.rfind(' ') + 1));
     }
   }
   if (expected_parity.empty()) {
@@ -192,18 +189,18 @@ int run_self_test(const std::string& fixtures, const std::string& parity) {
   }
   std::vector<std::string> actual_parity;
   for (const lint::Finding& f : result.report.findings) {
-    if (kLegacyRules.count(f.rule) != 0) {
+    if (pinned_rules.count(f.rule) != 0) {
       actual_parity.push_back(f.path + ":" + std::to_string(f.line) + " " +
                               f.rule);
     }
   }
-  // parity.expected is sorted as strings (the generator used sort());
-  // normalise both sides the same way before comparing.
+  // parity.expected is sorted as strings; normalise both sides the same
+  // way before comparing.
   std::sort(expected_parity.begin(), expected_parity.end());
   std::sort(actual_parity.begin(), actual_parity.end());
   if (expected_parity != actual_parity) {
     ++failures;
-    std::cerr << "SELF-TEST FAIL: python-parity mismatch\n";
+    std::cerr << "SELF-TEST FAIL: parity mismatch\n";
     for (const std::string& s : expected_parity) {
       std::cerr << "  expected: " << s << '\n';
     }
@@ -211,46 +208,8 @@ int run_self_test(const std::string& fixtures, const std::string& parity) {
       std::cerr << "  actual:   " << s << '\n';
     }
   } else if (!expected_parity.empty()) {
-    std::cerr << "self-test ok    python-parity: " << actual_parity.size()
+    std::cerr << "self-test ok    parity: " << actual_parity.size()
               << " finding(s) match\n";
-  }
-
-  // Baseline round-trip: grandfather the first finding, rescan, and check
-  // that exactly that finding is absorbed, nothing is stale, and a bogus
-  // second entry IS reported stale.
-  if (!result.report.findings.empty()) {
-    const lint::Finding& first = result.report.findings.front();
-    std::string line_text;
-    for (const lint::FileData& f : result.files) {
-      if (f.rel_path == first.path) {
-        line_text = std::string(lint::source_line_text(f.source, first.line));
-        break;
-      }
-    }
-    char fp[17];
-    std::snprintf(fp, sizeof fp, "%016llx",
-                  static_cast<unsigned long long>(lint::baseline_fingerprint(
-                      first.rule, first.path, line_text)));
-    lint::AnalyzerOptions rescan = options;
-    rescan.baseline_text =
-        first.rule + " " + first.path + " " + fp + " self-test entry\n" +
-        first.rule + " " + first.path +
-        " 0000000000000000 deliberately stale\n";
-    const lint::AnalyzeResult rebased = lint::analyze(rescan);
-    const bool absorbed =
-        rebased.report.baseline_applied == 1 &&
-        rebased.report.findings.size() + 1 == result.report.findings.size();
-    const bool stale_seen = rebased.report.stale_baseline.size() == 1;
-    if (!absorbed || !stale_seen || !rebased.baseline_errors.empty()) {
-      ++failures;
-      std::cerr << "SELF-TEST FAIL: baseline round-trip (absorbed="
-                << rebased.report.baseline_applied
-                << ", stale=" << rebased.report.stale_baseline.size()
-                << ", errors=" << rebased.baseline_errors.size() << ")\n";
-    } else {
-      std::cerr << "self-test ok    baseline round-trip: 1 absorbed, 1 "
-                   "stale detected\n";
-    }
   }
 
   if (failures != 0) {
@@ -275,8 +234,7 @@ int main(int argc, char** argv) {
 
   if (args->get("list-rules", false)) {
     for (const lint::RuleInfo& r : lint::rule_catalog({})) {
-      std::cout << r.id << " [" << lint::severity_name(r.severity) << "] — "
-                << r.description << '\n';
+      std::cout << r.id << " — " << r.description << '\n';
     }
     return 0;
   }
@@ -295,15 +253,6 @@ int main(int argc, char** argv) {
   options.cxx = args->get("cxx", std::string());
   options.threads =
       static_cast<std::size_t>(args->get("threads", std::int64_t{0}));
-  const std::string baseline_path = args->get("baseline", std::string());
-  if (!baseline_path.empty()) {
-    options.baseline_text = read_file_or_empty(baseline_path);
-    if (options.baseline_text.empty() && !fs::exists(baseline_path)) {
-      std::cerr << "alertsim-analyzer: baseline file '" << baseline_path
-                << "' does not exist\n";
-      return 2;
-    }
-  }
   options.exclude_paths = split_csv(args->get("exclude", std::string()));
   options.disabled_rules = split_csv(args->get("disable", std::string()));
   if (!options.disabled_rules.empty()) {
@@ -331,24 +280,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string write_baseline =
-      args->get("write-baseline", std::string());
-  const bool prune_baseline = args->get("prune-baseline", false);
   const bool show_stats = args->get("stats", false);
   const std::string stats_out = args->get("stats-out", std::string());
-  const std::string lock_graph_dot =
-      args->get("lock-graph-dot", std::string());
-  if (prune_baseline && baseline_path.empty()) {
-    std::cerr << "alertsim-analyzer: --prune-baseline needs --baseline\n";
-    return 2;
-  }
-  if (prune_baseline && !diff_base.empty()) {
-    // A diff-filtered scan leaves most entries legitimately idle; pruning
-    // from it would delete the whole baseline.
-    std::cerr << "alertsim-analyzer: --prune-baseline requires a full scan "
-                 "(drop --diff-base)\n";
-    return 2;
-  }
   const std::string format = args->get("format", std::string("text"));
   const std::string output = args->get("output", std::string());
   const std::string sarif_out = args->get("sarif-out", std::string());
@@ -367,49 +300,10 @@ int main(int argc, char** argv) {
   }
 
   const lint::AnalyzeResult result = lint::analyze(options);
-  for (const std::string& e : result.baseline_errors) {
-    std::cerr << "alertsim-analyzer: baseline " << e << '\n';
-  }
-
-  if (!lock_graph_dot.empty()) {
-    std::ofstream dot(lock_graph_dot);
-    dot << result.lock_graph_dot;
-    std::cerr << "alertsim-analyzer: wrote lock-order graph to "
-              << lock_graph_dot << '\n';
-  }
   if (show_stats) write_stats(std::cerr, result.rule_stats, false);
   if (!stats_out.empty()) {
     std::ofstream stats_file(stats_out);
     write_stats(stats_file, result.rule_stats, true);
-  }
-
-  if (prune_baseline) {
-    const std::size_t dropped = result.report.stale_baseline.size();
-    std::ofstream pruned(baseline_path);
-    pruned << result.pruned_baseline_text;
-    std::cerr << "alertsim-analyzer: pruned " << dropped << " stale entr"
-              << (dropped == 1 ? "y" : "ies") << " from " << baseline_path
-              << '\n';
-  }
-
-  if (!write_baseline.empty()) {
-    std::map<std::string, const lint::FileData*> by_path;
-    for (const lint::FileData& f : result.files) by_path[f.rel_path] = &f;
-    std::vector<std::string_view> lines;
-    for (const lint::Finding& f : result.report.findings) {
-      const auto it = by_path.find(f.path);
-      lines.push_back(it == by_path.end()
-                          ? std::string_view()
-                          : lint::source_line_text(it->second->source,
-                                                   f.line));
-    }
-    std::ofstream out(write_baseline);
-    out << lint::Baseline::render(result.report.findings, lines);
-    std::cerr << "alertsim-analyzer: wrote " << result.report.findings.size()
-              << " baseline entr"
-              << (result.report.findings.size() == 1 ? "y" : "ies")
-              << " to " << write_baseline << '\n';
-    return 0;
   }
 
   std::ostream* out = &std::cout;
@@ -432,9 +326,5 @@ int main(int argc, char** argv) {
     lint::write_sarif(sarif_file, result.report, catalog);
   }
 
-  const bool failed = result.report.error_count() > 0 ||
-                      (!prune_baseline &&
-                       !result.report.stale_baseline.empty()) ||
-                      !result.baseline_errors.empty();
-  return failed ? 1 : 0;
+  return result.report.findings.empty() ? 0 : 1;
 }

@@ -1,6 +1,6 @@
-// Fixture: wallclock-in-sim, direct form. core/ is simulated-time but
-// outside the legacy wall-clock rule's dirs (sim/, net/, routing/), so
-// the direct host-clock read here is this rule's to report.
+// Fixture: wallclock-in-sim, direct form. core/ is simulated-time like
+// sim/, net/ and routing/, so the host-clock read in a core/ function is
+// reported at the read.
 // EXPECT: wallclock-in-sim 1
 #include <chrono>
 

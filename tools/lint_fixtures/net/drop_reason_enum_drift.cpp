@@ -1,11 +1,11 @@
-// Fixture: a DropReason declaration that drifted from alert-lint's
-// canonical DROP_REASONS list is itself a violation — adding a reason
-// means updating the linter and every switch together. The forward
-// declaration must not confuse the definition matcher.
-// EXPECT: drop-reason-exhaustive 1
+// Fixture: a tagged DropReason re-declaration that drifted from the
+// canonical one in net/drop_reason.hpp (headers are read first) is itself
+// an exhaustive-enum violation. The forward declaration must not confuse
+// the definition matcher.
+// EXPECT: exhaustive-enum 1
 namespace net {
 enum class DropReason : unsigned char;  // forward decl: ignored
-
+// alert-lint: exhaustive-enum
 enum class DropReason : unsigned char {
   OutOfRange,
   NoHandler,

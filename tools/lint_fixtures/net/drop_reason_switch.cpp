@@ -1,10 +1,10 @@
-// Fixture: switches over net::DropReason must be exhaustive and
+// Fixture: switches over the tagged net::DropReason must be exhaustive and
 // default-free. The first switch is complete (clean); the second misses
 // the three fault-era reasons; the third hides a full case list behind
 // `default:`; the waived one and the DropReason-free switch pass.
-// EXPECT: drop-reason-exhaustive 2
+// EXPECT: exhaustive-enum 2
 namespace net {
-enum class DropReason {
+enum class DropReason {  // alert-lint: exhaustive-enum
   OutOfRange,
   NoHandler,
   TtlExpired,
@@ -48,7 +48,7 @@ const char* hidden(net::DropReason why) {
 }
 
 const char* waived(net::DropReason why) {
-  switch (why) {  // alert-lint: allow(drop-reason-exhaustive)
+  switch (why) {  // alert-lint: allow(exhaustive-enum)
     case net::DropReason::OutOfRange: return "out_of_range";
     default: return "unknown";
   }

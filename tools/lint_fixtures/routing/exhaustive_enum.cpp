@@ -1,5 +1,5 @@
-// Fixture: exhaustive-enum — the tag generalizes the DropReason rule to
-// any enum. The complete switch passes; the defaulted switch and the
+// Fixture: exhaustive-enum — the tag opts any enum in (net::DropReason is
+// one). The complete switch passes; the defaulted switch and the
 // missing-case switch are flagged; the waived switch passes; the drifted
 // re-declaration is flagged against the first declaration.
 // EXPECT: exhaustive-enum 3

@@ -1,6 +1,6 @@
-// Fixture: wall-clock reads inside a simulator directory. Four banned
-// forms; the waived one and the comment/string mentions do not count.
-// EXPECT: wall-clock 4
+// Fixture: direct host-clock reads inside a simulator directory. Four
+// banned forms; the waived one and the comment/string mentions do not count.
+// EXPECT: wallclock-in-sim 4
 #include <chrono>
 #include <ctime>
 
@@ -10,7 +10,7 @@ auto bad_chrono() { return std::chrono::system_clock::now(); }
 auto bad_steady() { return std::chrono::steady_clock::now(); }
 
 auto waived() {
-  return std::chrono::system_clock::now();  // alert-lint: allow(wall-clock)
+  return std::chrono::system_clock::now();  // alert-lint: allow(wallclock-in-sim)
 }
 
 // time(nullptr) in a comment is fine; so is "clock()" in a string:

@@ -1,5 +1,5 @@
 // Fixture: wallclock-in-sim, transitive form. measure_step() holds no
-// clock token itself (the per-file wall-clock rule stays silent) but
+// clock token itself (no direct read to report) but
 // reaches the host clock in util/host_timer.cpp through a call — flagged
 // at the call site. profiled_step() calls the obs probe, whose clock
 // reads are allowlisted, and stays silent.

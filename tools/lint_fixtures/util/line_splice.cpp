@@ -1,6 +1,6 @@
 // Fixture: backslash line-splices. The first comment continues across
 // the splice, so the rand()/srand() on the next physical line are
-// comment text, not code — raw-random must stay silent. The spliced
+// comment text, not code — rng-discipline stays silent. The spliced
 // string literal stays one token. The mutable global after both is the
 // file's only finding, and the analyzer_test pins its physical line to
 // prove the splices did not shift the line mapping.
