@@ -1,7 +1,7 @@
 /// \file alertsim_cli.cpp
 /// Scenario driver: run any protocol/parameter combination from the
 /// command line and print the full metric set (optionally as a CSV row,
-/// for scripting sweeps beyond the canned figure benches).
+/// for scripting sweeps beyond the registry's figure campaigns).
 ///
 ///   alertsim_cli --protocol alert --nodes 200 --speed 2 --duration 100
 ///                --flows 10 --h 5 --reps 10 [--attacks] [--csv]
@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
   cfg.run_attacks = args.get("attacks", false);
   cfg.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
   cfg.radio_range_m = args.get("range", 250.0);
-  cfg.trace_path = args.get("trace", std::string());  // JSONL event dump
 
   // Shared observability flags (see util/cli.hpp): structured trace sink,
   // run-manifest output, log threshold.

@@ -2,9 +2,10 @@
 
 /// \file theory.hpp
 /// Closed-form theoretical analysis of ALERT, Section 4 of the paper.
-/// Each function implements one numbered equation; figure benches evaluate
-/// them to regenerate Figs. 7 and 9, and property tests cross-check them
-/// against Monte-Carlo simulation of the same random processes.
+/// Each function implements one numbered equation; the figure registry
+/// evaluates them to regenerate Figs. 7 and 9, and property tests
+/// cross-check them against Monte-Carlo simulation of the same random
+/// processes.
 
 #include <cstdint>
 

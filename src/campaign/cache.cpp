@@ -47,20 +47,6 @@ std::optional<core::RunResult> ResultCache::load(
   return run;
 }
 
-bool ResultCache::entry_exists(const std::string& key) const {
-  std::error_code ec;
-  return fs::exists(object_path(key), ec);
-}
-
-void ResultCache::remove(const std::string& key) const {
-  std::error_code ec;
-  fs::remove(object_path(key), ec);
-  if (ec) {
-    ALERT_LOG_WARN("cache: cannot remove %s: %s", key.c_str(),
-                   ec.message().c_str());
-  }
-}
-
 bool ResultCache::store(const std::string& key,
                         const core::RunResult& run) const {
   const fs::path final_path(object_path(key));

@@ -46,16 +46,6 @@ class ResultCache {
   /// (`campaign.cache.store_errors`).
   bool store(const std::string& key, const core::RunResult& run) const;
 
-  /// Entry present under the final name? Cheaper than load() — used by the
-  /// distributed queue's claim scans, where parsing every entry per poll
-  /// would dominate. A present-but-corrupt entry still reads as done here;
-  /// the dist aggregator heals that case by deleting the entry (see
-  /// docs/DIST.md failure matrix).
-  [[nodiscard]] bool entry_exists(const std::string& key) const;
-
-  /// Remove the entry under the final name (corrupt-entry healing).
-  void remove(const std::string& key) const;
-
   /// store() calls that failed over this cache's lifetime (thread-safe).
   [[nodiscard]] std::size_t store_errors() const {
     return store_errors_.load();

@@ -4,8 +4,8 @@
 /// The campaign engine: expands a CampaignSpec into (point, replication)
 /// work units, schedules them across util::ThreadPool, serves completed
 /// units from the content-addressed result cache, folds replications in
-/// deterministic point/replication order and assembles the same
-/// "alertsim-run-manifest/1" document the figure benches emit.
+/// deterministic point/replication order and assembles the
+/// "alertsim-run-manifest/1" document.
 ///
 /// Determinism contract: given the same spec and replication count, the
 /// emitted manifest is byte-identical whether every unit executed live, was
@@ -13,13 +13,12 @@
 /// the output. Cached units replay their recorded wall-clock self-profile,
 /// so even the profile section reproduces. This is what makes interrupt +
 /// resume equivalent to an uninterrupted run (the campaign smoke test's
-/// assertion), and what makes the distributed fan-out (src/dist/) converge
-/// to the same bytes no matter how many workers died along the way.
+/// assertion).
 ///
-/// The unit pipeline is exposed piecewise — expand_units / execute_unit /
-/// assemble_manifest — so the dist worker loop and aggregator run exactly
-/// the engine's expansion, execution, and fold; run_campaign is the
-/// single-process composition of the three.
+/// The unit pipeline is public piecewise — expand_units / execute_unit /
+/// assemble_manifest — so callers that time or drive the stages themselves
+/// (the repository benchmark) run exactly the engine's expansion,
+/// execution and fold; run_campaign is the composition of the three.
 ///
 /// Per-unit progress is reported through alert::obs counters
 /// (campaign.units.*, exposed on CampaignOutcome::progress) and
@@ -80,7 +79,7 @@ struct CampaignOutcome {
 [[nodiscard]] CampaignOutcome run_campaign(const CampaignSpec& spec,
                                            const CampaignOptions& options);
 
-// --- the unit pipeline, exposed for the distributed queue (src/dist/) ------
+// --- the unit pipeline, stage by stage ---------------------------------------
 
 /// One (point, replication) work unit of a campaign.
 struct WorkUnit {

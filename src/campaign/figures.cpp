@@ -600,7 +600,7 @@ CampaignSpec fig17() {
       cfg.group_range_m = model.range;
       cfg.speed_mps = speed;
       // Distance-matched pairs and long retransmitting sessions — see the
-      // design discussion in bench/fig17 history and EXPERIMENTS.md.
+      // design discussion in EXPERIMENTS.md.
       cfg.min_pair_distance_m = 300.0;
       cfg.max_pair_distance_m = 700.0;
       cfg.alert.max_retransmissions = 4;

@@ -2,11 +2,10 @@
 
 /// \file figures.hpp
 /// The built-in campaign registry: every figure of the paper's evaluation
-/// (and this repo's ablations) as a CampaignSpec builder. Each builder
-/// reproduces the corresponding bench binary's exact points, series, table
-/// labels and commentary; the bench binaries themselves are one-line
-/// wrappers over figure_main() and `alertsim-campaign --all` runs the whole
-/// registry in one process.
+/// (and this repo's ablations) as a CampaignSpec builder — its points,
+/// series, table labels and commentary. `alertsim-campaign --figure NAME`
+/// runs one entry and `alertsim-campaign --all` the whole registry in one
+/// process.
 
 #include <string_view>
 #include <vector>
@@ -16,7 +15,7 @@
 namespace alert::campaign {
 
 struct FigureDef {
-  const char* name;  ///< machine id == bench binary name
+  const char* name;  ///< machine id == manifest name
   CampaignSpec (*build)();
 };
 

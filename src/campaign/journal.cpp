@@ -1,9 +1,10 @@
 #include "campaign/journal.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <system_error>
+#include <utility>
+#include <vector>
 
 #include "util/logging.hpp"
 
@@ -52,13 +53,6 @@ Journal::Journal(const std::string& dir, const std::string& name) {
       const std::vector<std::string> parts = tokens_of(line);
       if (parts.size() == 2 && parts[0] == "done") {
         done_.insert(parts[1]);
-      } else if (parts.size() == 3 && parts[0] == "claimed") {
-        ++claims_[parts[1]];
-        workers_.insert(parts[2]);
-      } else if (parts.size() == 3 && parts[0] == "failed") {
-        ++failures_[parts[1]];
-      } else if (parts.size() == 3 && parts[0] == "reclaimed") {
-        ++reclaims_;
       }
     }
   }
@@ -91,8 +85,7 @@ void Journal::append_line(const std::string& line) {
     return;
   }
   // One buffered write + flush per line: the stream buffer is empty between
-  // records, so each record reaches the kernel as a single O_APPEND write —
-  // concurrent workers interleave whole lines.
+  // records, so each record reaches the kernel as one write.
   out_ << line << '\n';
   out_.flush();
   if (!out_.good()) {
@@ -114,71 +107,6 @@ void Journal::mark_done(const std::string& key) {
   std::lock_guard lk(mutex_);
   if (!done_.insert(key).second) return;
   append_line("done " + key);
-}
-
-void Journal::mark_claimed(const std::string& key, const std::string& worker) {
-  std::lock_guard lk(mutex_);
-  ++claims_[key];
-  workers_.insert(worker);
-  append_line("claimed " + key + ' ' + worker);
-}
-
-void Journal::mark_failed(const std::string& key, const std::string& worker) {
-  std::lock_guard lk(mutex_);
-  ++failures_[key];
-  append_line("failed " + key + ' ' + worker);
-}
-
-void Journal::mark_reclaimed(const std::string& key,
-                             const std::string& stale_worker) {
-  std::lock_guard lk(mutex_);
-  ++reclaims_;
-  append_line("reclaimed " + key + ' ' + stale_worker);
-}
-
-std::size_t Journal::claim_count(const std::string& key) const {
-  std::lock_guard lk(mutex_);
-  const auto it = claims_.find(key);
-  return it == claims_.end() ? 0 : it->second;
-}
-
-std::size_t Journal::max_claim_count() const {
-  std::lock_guard lk(mutex_);
-  std::size_t max = 0;
-  for (const auto& [key, count] : claims_) max = std::max(max, count);
-  return max;
-}
-
-std::size_t Journal::total_retries() const {
-  std::lock_guard lk(mutex_);
-  std::size_t total = 0;
-  for (const auto& [key, count] : claims_) {
-    if (count > 1) total += count - 1;
-  }
-  return total;
-}
-
-std::size_t Journal::failed_count(const std::string& key) const {
-  std::lock_guard lk(mutex_);
-  const auto it = failures_.find(key);
-  return it == failures_.end() ? 0 : it->second;
-}
-
-std::size_t Journal::total_failed() const {
-  std::lock_guard lk(mutex_);
-  std::size_t total = 0;
-  for (const auto& [key, count] : failures_) total += count;
-  return total;
-}
-
-std::size_t Journal::total_reclaimed() const {
-  std::lock_guard lk(mutex_);
-  return reclaims_;
-}
-
-std::vector<std::string> Journal::workers() const {
-  std::lock_guard lk(mutex_);
-  return {workers_.begin(), workers_.end()};
 }
 
 std::size_t Journal::write_errors() const {

@@ -1,28 +1,22 @@
 #pragma once
 
 /// \file journal.hpp
-/// Append-only journal of work-unit events for one campaign. The result
-/// cache (cache.hpp) is the authoritative resume record — a unit is "done"
-/// iff its cache entry exists — so the journal is deliberately simple
-/// bookkeeping: one flushed line per event lets an interrupted run be
-/// audited (how far did it get? which worker touched what?) and lets the
-/// smoke tests assert that a resume skipped completed units and that no
-/// unit was claimed more than its retry budget allows. A torn final line
+/// Append-only journal of completed work units for one campaign. The
+/// result cache (cache.hpp) is the authoritative resume record — a unit is
+/// "done" iff its cache entry exists — so the journal is deliberately
+/// simple bookkeeping: one flushed line per completed unit lets an
+/// interrupted run be audited (how far did it get?) and lets the smoke
+/// tests assert that a resume skipped completed units. A torn final line
 /// from a killed process is ignored on reload.
 ///
-/// Multi-process discipline (the distributed queue, src/dist/): every
-/// worker opens the same journal in append mode. Appends go through one
-/// short, immediately-flushed line per event — on POSIX an O_APPEND write
-/// of that size is atomic, so concurrent workers interleave whole lines,
-/// never bytes. Each process's in-memory view is the file at open time plus
-/// its own appends; readers wanting the converged state reopen.
+/// One process writes a journal: the campaign engine's pool threads call
+/// mark_done concurrently, and the mutex serialises their appends. Each
+/// line is flushed as it is written, so a kill loses at most the line in
+/// flight.
 ///
 /// Format (text, one record per line):
 ///   alertsim-campaign-journal/1 <campaign name>
 ///   done <64-hex-or-40-hex unit key>
-///   claimed <key> <worker id>
-///   failed <key> <worker id>
-///   reclaimed <key> <stale worker id>
 ///
 /// Write failures (disk full, revoked directory) are detected after every
 /// flush, logged once, and counted (write_errors()) — the engine surfaces
@@ -31,19 +25,17 @@
 
 #include <cstddef>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <set>
 #include <string>
-#include <vector>
 
 namespace alert::campaign {
 
 class Journal {
  public:
   /// Opens (creating directories and the file as needed)
-  /// `<dir>/<name>.journal` and loads the event history from any previous
-  /// run. All mark_* calls are safe from pool workers.
+  /// `<dir>/<name>.journal` and loads the units a previous run completed.
+  /// mark_done is safe from pool workers.
   Journal(const std::string& dir, const std::string& name);
 
   [[nodiscard]] const std::string& path() const { return path_; }
@@ -52,29 +44,6 @@ class Journal {
 
   /// Record one completed unit (idempotent) and flush the line.
   void mark_done(const std::string& key);
-
-  /// Record a lease claim by `worker` (one line per claim — retries of the
-  /// same key append again; claim_count() is the execution-attempt audit).
-  void mark_claimed(const std::string& key, const std::string& worker);
-
-  /// Record a failed execution attempt observed by `worker`.
-  void mark_failed(const std::string& key, const std::string& worker);
-
-  /// Record a stale lease broken away from `stale_worker`.
-  void mark_reclaimed(const std::string& key, const std::string& stale_worker);
-
-  /// Claims recorded for `key` (this process's view; see header comment).
-  [[nodiscard]] std::size_t claim_count(const std::string& key) const;
-  /// Highest claim count over all keys (smoke-test bound: never above
-  /// 1 + max retries when the retry budget is honoured).
-  [[nodiscard]] std::size_t max_claim_count() const;
-  /// Claims beyond each key's first — the re-executions the fleet absorbed.
-  [[nodiscard]] std::size_t total_retries() const;
-  [[nodiscard]] std::size_t failed_count(const std::string& key) const;
-  [[nodiscard]] std::size_t total_failed() const;
-  [[nodiscard]] std::size_t total_reclaimed() const;
-  /// Distinct worker ids seen in claimed records, sorted.
-  [[nodiscard]] std::vector<std::string> workers() const;
 
   /// Lines that failed to reach the file (logged once, then counted).
   [[nodiscard]] std::size_t write_errors() const;
@@ -85,10 +54,6 @@ class Journal {
   std::string path_;
   mutable std::mutex mutex_;
   std::set<std::string> done_;
-  std::map<std::string, std::size_t> claims_;
-  std::map<std::string, std::size_t> failures_;
-  std::set<std::string> workers_;
-  std::size_t reclaims_ = 0;
   std::size_t write_errors_ = 0;
   bool write_error_logged_ = false;
   std::ofstream out_;

@@ -11,7 +11,6 @@
 #include "attack/compromise.hpp"
 #include "attack/observer.hpp"
 #include "attack/route_tracer.hpp"
-#include "attack/trace_writer.hpp"
 #include "attack/zone_residency.hpp"
 #include "core/obs_bridge.hpp"
 #include "faults/injector.hpp"
@@ -226,12 +225,6 @@ RunResult run_once(const ScenarioConfig& config,
   network.add_listener(&delivery);
   attack::PassiveObserver observer(network);
   network.add_listener(&observer);
-  std::unique_ptr<attack::JsonlTraceWriter> trace_writer;
-  if (!config.trace_path.empty() && replication_index == 0) {
-    trace_writer =
-        std::make_unique<attack::JsonlTraceWriter>(config.trace_path);
-    network.add_listener(trace_writer.get());
-  }
 
   // Traffic: flow_count random S-D pairs; CBR one packet per interval.
   util::Rng traffic_rng = rng.fork(3);

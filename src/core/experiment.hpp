@@ -124,9 +124,9 @@ void validate_scenario(const ScenarioConfig& config);
                                               std::size_t replications,
                                               std::size_t threads = 0);
 
-/// Replication count for figure benches: honours the ALERTSIM_REPS
+/// Replication count for figure campaigns: honours the ALERTSIM_REPS
 /// environment variable, defaulting to `fallback` (the paper uses 30; the
-/// benches default lower to keep a full regeneration pass quick).
+/// figures default lower to keep a full regeneration pass quick).
 /// A set-but-invalid ALERTSIM_REPS (non-numeric, trailing junk, zero,
 /// negative, or larger than kMaxReplications) is a hard error: the message
 /// goes to stderr and the process exits with status 2 — silently falling

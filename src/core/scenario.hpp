@@ -2,7 +2,7 @@
 
 /// \file scenario.hpp
 /// Experiment scenario description: one struct capturing every knob of the
-/// paper's evaluation setup (Sec. 5.2) so each figure bench is a small
+/// paper's evaluation setup (Sec. 5.2) so each figure campaign is a small
 /// parameter sweep over ScenarioConfig. Simulator internals get no knob
 /// here: `field` and `radio_range_m` alone decide whether net::Network
 /// answers range queries from a spatial grid (docs/SCALE.md).
@@ -100,10 +100,6 @@ struct ScenarioConfig {
   std::vector<std::size_t> compromise_budgets;
 
   std::uint64_t seed = 1;
-
-  /// When non-empty, replication 0 streams every on-air event to this
-  /// JSONL file (attack::JsonlTraceWriter) for offline visualization.
-  std::string trace_path;
 
   /// Structured observability (metrics / profiling / trace sinks).
   ObsOptions obs;

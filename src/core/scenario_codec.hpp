@@ -9,8 +9,8 @@
 /// `key=value` lines with doubles printed at full round-trip precision.
 /// Two configs with equal canonical forms produce identical replications
 /// (same seeds, same event trace, same digests). Observability options
-/// (ScenarioConfig::obs, trace_path) are deliberately excluded: attaching a
-/// trace sink or profiler never feeds the determinism digest.
+/// (ScenarioConfig::obs) are deliberately excluded: attaching a trace sink
+/// or profiler never feeds the determinism digest.
 ///
 /// scenario_unit_key() is the cache key of one (scenario, replication) work
 /// unit: SHA-1 over (canonical form, replication index, kSimulationEpoch).

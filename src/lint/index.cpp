@@ -1,10 +1,10 @@
 /// \file index.cpp
-/// Per-file symbol/scope indexing. Two passes per file: a scope walk that
-/// finds function definitions (namespace- and class-scope brace bodies whose
+/// Per-file symbol/scope indexing. Two passes per file: the statement-head
+/// walk (walk_statements, shared with the mutable-global rule) finds
+/// function definitions (namespace- and class-scope brace bodies whose
 /// statement head carries a parameter list), then a linear body scan per
-/// function that records call sites, lambdas (captures + worker-ness),
-/// writes with the held-mutex set, and clock reads. Both passes share the
-/// statement-head machinery proven out by the mutable-global rule.
+/// function records call sites, lambdas (captures + worker-ness), writes
+/// with the held-mutex set, and clock reads.
 
 #include "lint/index.hpp"
 
@@ -64,12 +64,13 @@ const std::set<std::string>& type_keywords() {
   return kTypeKeywords;
 }
 
-enum class Ctx { Namespace, Class, Function, Init };
-
-struct Scope {
-  Ctx ctx = Ctx::Namespace;
-  std::string class_name;  ///< set for Ctx::Class
-};
+/// The head ends in `do`, `else` or `try`: the brace opens a control block
+/// even without a parenthesised condition.
+bool ends_in_control(const CodeView& v, const std::vector<std::size_t>& head) {
+  if (head.empty()) return false;
+  const std::string& last = v.tok(head.back()).text;
+  return last == "do" || last == "else" || last == "try";
+}
 
 /// Name of the class/struct/union/enum declared by this statement head,
 /// skipping a leading template parameter list.
@@ -621,13 +622,12 @@ FileIndex index_file(const FileData& file) {
   return index_file(file, default_worker_entry_points());
 }
 
-FileIndex index_file(const FileData& file,
-                     const std::vector<std::string>& worker_entry_points) {
-  FileIndex out;
-  const CodeView v(file);
-  out.rng_vars = collect_rng_vars(v);
-
-  std::vector<Scope> stack{{Ctx::Namespace, {}}};
+void walk_statements(const CodeView& v, const StatementVisitor& visit) {
+  struct Frame {
+    StatementScope scope;
+    bool init = false;  ///< braces of an initializer, not a scope
+  };
+  std::vector<Frame> stack(1);  // translation-unit scope
   std::vector<std::size_t> stmt;
   std::size_t paren_depth = 0;
 
@@ -639,49 +639,39 @@ FileIndex index_file(const FileData& file,
 
   for (std::size_t i = 0; i < v.size(); ++i) {
     const std::string& t = v.tok(i).text;
-    const bool in_init = stack.back().ctx == Ctx::Init;
+    const bool in_init = stack.back().init;
     if (t == "{") {
       if (in_init) {
-        stack.push_back({Ctx::Init, {}});
+        stack.push_back({{}, true});  // nested braces of an initializer
         continue;
       }
-      const bool control_tail =
-          !stmt.empty() && (v.tok(stmt.back()).text == "do" ||
-                            v.tok(stmt.back()).text == "else" ||
-                            v.tok(stmt.back()).text == "try");
+      StatementScope opened;
+      opened.kind = ScopeKind::Function;  // plain blocks act like bodies
       if (contains("namespace")) {
-        stack.push_back({Ctx::Namespace, {}});
+        opened.kind = ScopeKind::Namespace;
       } else if (contains("class") || contains("struct") ||
                  contains("union") || contains("enum")) {
-        stack.push_back({Ctx::Class, class_name_of(v, stmt)});
-      } else if (control_tail || contains("(")) {
-        const Ctx here = stack.back().ctx;
-        if (!control_tail &&
-            (here == Ctx::Namespace || here == Ctx::Class)) {
-          FunctionInfo fn;
-          if (signature_name(v, stmt, stack.back().class_name, &fn)) {
-            fn.file = &file;
-            fn.body_begin = i;
-            fn.body_end = v.matching(i, "{", "}");
-            if (fn.body_end < v.size()) out.functions.push_back(std::move(fn));
-          }
-        }
-        stack.push_back({Ctx::Function, {}});
-      } else if (!stmt.empty() &&
+        opened.kind = ScopeKind::Class;
+        opened.class_name = class_name_of(v, stmt);
+      } else if (!ends_in_control(v, stmt) && !contains("(") &&
+                 !stmt.empty() &&
                  (contains("=") ||
                   v.tok(stmt.back()).kind == TokenKind::Identifier ||
                   v.tok(stmt.back()).text == ">")) {
-        stack.push_back({Ctx::Init, {}});
+        // Braced initializer: `T name{...}` / `T name = {...}`.
+        stack.push_back({{}, true});
         continue;  // the statement continues past the initializer
-      } else {
-        stack.push_back({Ctx::Function, {}});
       }
+      if (visit.on_open) {
+        visit.on_open(stmt, stack.back().scope, opened.kind, i);
+      }
+      stack.push_back({std::move(opened), false});
       stmt.clear();
       paren_depth = 0;
       continue;
     }
     if (t == "}") {
-      const bool was_init = stack.back().ctx == Ctx::Init;
+      const bool was_init = stack.back().init;
       if (stack.size() > 1) stack.pop_back();
       if (!was_init) {
         stmt.clear();
@@ -689,15 +679,42 @@ FileIndex index_file(const FileData& file,
       }
       continue;
     }
-    if (in_init) continue;
+    if (in_init) continue;  // initializer contents are not declarations
     if (t == "(") ++paren_depth;
     if (t == ")" && paren_depth > 0) --paren_depth;
     if (t == ";" && paren_depth == 0) {
+      if (visit.on_statement) {
+        visit.on_statement(stmt, stack.back().scope.kind);
+      }
       stmt.clear();
       continue;
     }
     stmt.push_back(i);
   }
+}
+
+FileIndex index_file(const FileData& file,
+                     const std::vector<std::string>& worker_entry_points) {
+  FileIndex out;
+  const CodeView v(file);
+  out.rng_vars = collect_rng_vars(v);
+
+  StatementVisitor visit;
+  visit.on_open = [&](const std::vector<std::size_t>& head,
+                      const StatementScope& enclosing, ScopeKind opened,
+                      std::size_t brace) {
+    if (opened != ScopeKind::Function ||
+        enclosing.kind == ScopeKind::Function || ends_in_control(v, head)) {
+      return;
+    }
+    FunctionInfo fn;
+    if (!signature_name(v, head, enclosing.class_name, &fn)) return;
+    fn.file = &file;
+    fn.body_begin = brace;
+    fn.body_end = v.matching(brace, "{", "}");
+    if (fn.body_end < v.size()) out.functions.push_back(std::move(fn));
+  };
+  walk_statements(v, visit);
 
   for (FunctionInfo& fn : out.functions) {
     fn.lambdas = scan_lambdas(v, fn.body_begin, fn.body_end);

@@ -13,6 +13,7 @@
 /// self-tests pin) the usual over/under-approximation trade-offs.
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -118,6 +119,36 @@ struct FileIndex {
 [[nodiscard]] FileIndex index_file(const FileData& file);
 [[nodiscard]] FileIndex index_file(
     const FileData& file, const std::vector<std::string>& worker_entry_points);
+
+/// The brace scope a statement sits in. Initializer braces (`T x{...}`,
+/// `T x = {...}`) open none: their statement continues past them.
+enum class ScopeKind { Namespace, Class, Function };
+
+struct StatementScope {
+  ScopeKind kind = ScopeKind::Namespace;
+  std::string class_name;  ///< set for ScopeKind::Class
+};
+
+/// Callbacks of walk_statements; either may be empty. `head` holds the
+/// code-token indices of the statement so far, initializer contents
+/// excluded.
+struct StatementVisitor {
+  /// A `{` at code index `brace` opens a scope of kind `opened` inside
+  /// `enclosing`.
+  std::function<void(const std::vector<std::size_t>& head,
+                     const StatementScope& enclosing, ScopeKind opened,
+                     std::size_t brace)>
+      on_open;
+  /// A `;` outside parentheses ends a statement in a scope of kind `scope`.
+  std::function<void(const std::vector<std::size_t>& head, ScopeKind scope)>
+      on_statement;
+};
+
+/// The one statement-head walk over a file's code tokens: tracks the scope
+/// stack from each `{`'s statement head (namespace, class/struct/union/
+/// enum, function-like block, or initializer) and reports every scope
+/// opening and every statement end.
+void walk_statements(const CodeView& v, const StatementVisitor& visit);
 
 /// Names heuristically declared inside the code-token range [begin, end):
 /// an identifier preceded by a type-ish token (identifier, '&', '*', '>')

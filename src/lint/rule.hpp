@@ -68,7 +68,6 @@ struct AnalyzerConfig {
        {"util", "sim", "net", "routing", "loc", "crypto", "attack", "obs",
         "faults"}},
       {"campaign", {"util", "analysis", "core", "obs", "routing"}},
-      {"dist", {"util", "obs", "core", "campaign"}},
       {"perf",
        {"util", "obs", "sim", "net", "core", "campaign", "lint"}},
       {"lint", {"util", "obs"}},
@@ -76,7 +75,7 @@ struct AnalyzerConfig {
       // the whole DAG, so every module is a legal dependency.
       {"integration",
        {"util", "analysis", "obs", "crypto", "sim", "faults", "net", "loc",
-        "routing", "attack", "core", "campaign", "dist", "lint", "scale"}},
+        "routing", "attack", "core", "campaign", "lint", "scale"}},
   };
   /// rng-discipline / lock-discipline: callables whose lambda arguments run
   /// on util::ThreadPool worker threads.

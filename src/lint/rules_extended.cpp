@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "lint/index.hpp"
 #include "lint/rule.hpp"
 #include "lint/rules_detail.hpp"
 #include "lint/structure.hpp"
@@ -512,75 +513,17 @@ class MutableGlobalRule final : public Rule {
       return;
     }
     const CodeView v(file);
-    std::vector<Ctx> stack{Ctx::Namespace};  // translation-unit scope
-    std::vector<std::size_t> stmt;           // code-token indices
-    std::size_t paren_depth = 0;
-
-    auto contains = [&](const char* word) {
-      return std::any_of(stmt.begin(), stmt.end(), [&](std::size_t k) {
-        return v.tok(k).text == word;
-      });
+    StatementVisitor visit;
+    visit.on_statement = [&](const std::vector<std::size_t>& stmt,
+                             ScopeKind scope) {
+      evaluate(v, file, sink, scope, stmt);
     };
-
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      const std::string& t = v.tok(i).text;
-      const bool in_init = stack.back() == Ctx::Init;
-      if (t == "{") {
-        if (in_init) {
-          stack.push_back(Ctx::Init);  // nested braces of an initializer
-          continue;
-        }
-        Ctx ctx = Ctx::Function;  // plain blocks behave like function bodies
-        const bool control_tail =
-            !stmt.empty() && (v.tok(stmt.back()).text == "do" ||
-                              v.tok(stmt.back()).text == "else" ||
-                              v.tok(stmt.back()).text == "try");
-        if (contains("namespace")) {
-          ctx = Ctx::Namespace;
-        } else if (contains("class") || contains("struct") ||
-                   contains("union") || contains("enum")) {
-          ctx = Ctx::Class;
-        } else if (control_tail || contains("(")) {
-          ctx = Ctx::Function;
-        } else if (!stmt.empty() &&
-                   (contains("=") ||
-                    v.tok(stmt.back()).kind == TokenKind::Identifier ||
-                    v.tok(stmt.back()).text == ">")) {
-          // Braced initializer: `T name{...}` / `T name = {...}`.
-          stack.push_back(Ctx::Init);
-          continue;  // the statement continues past the initializer
-        }
-        stack.push_back(ctx);
-        stmt.clear();
-        paren_depth = 0;
-        continue;
-      }
-      if (t == "}") {
-        const bool was_init = stack.back() == Ctx::Init;
-        if (stack.size() > 1) stack.pop_back();
-        if (!was_init) {
-          stmt.clear();
-          paren_depth = 0;
-        }
-        continue;
-      }
-      if (in_init) continue;  // initializer contents are not declarations
-      if (t == "(") ++paren_depth;
-      if (t == ")" && paren_depth > 0) --paren_depth;
-      if (t == ";" && paren_depth == 0) {
-        evaluate(v, file, sink, stack.back(), stmt);
-        stmt.clear();
-        continue;
-      }
-      stmt.push_back(i);
-    }
+    walk_statements(v, visit);
   }
 
  private:
-  enum class Ctx { Namespace, Class, Function, Init };
-
-  void evaluate(const CodeView& v, const FileData& file, Sink& sink, Ctx ctx,
-                const std::vector<std::size_t>& stmt) {
+  void evaluate(const CodeView& v, const FileData& file, Sink& sink,
+                ScopeKind scope, const std::vector<std::size_t>& stmt) {
     if (stmt.empty()) return;
     static const std::set<std::string> kNotAVariable{
         "using",    "typedef",  "namespace", "class",   "struct",
@@ -628,7 +571,7 @@ class MutableGlobalRule final : public Rule {
       return;
     const std::string name = v.tok(last_name).text;
     const Token& at = v.tok(stmt.front());
-    if (ctx == Ctx::Namespace) {
+    if (scope == ScopeKind::Namespace) {
       sink.emit(info_, file, at.line, at.column,
                 "mutable namespace-scope state '" + name +
                     "' — globals couple replications and break run "
@@ -637,7 +580,7 @@ class MutableGlobalRule final : public Rule {
                     "deliberate process-wide state");
     } else if (has_static) {
       sink.emit(info_, file, at.line, at.column,
-                ctx == Ctx::Class
+                scope == ScopeKind::Class
                     ? "mutable static data member '" + name +
                           "' — static members are process-wide state; "
                           "make it const/constexpr or move it into the "

@@ -41,18 +41,6 @@ void RunManifest::write_json(std::ostream& out) const {
   // manifests stay byte-identical across live/cached/resumed runs.
   if (peak_rss_bytes > 0) w.field("peak_rss_bytes", peak_rss_bytes);
 
-  // Optional: present only when a distributed aggregation stamped its
-  // convergence summary (--dist-summary); same byte-identity rationale.
-  if (has_dist) {
-    w.key("dist");
-    w.begin_object();
-    w.field("workers", dist.workers);
-    w.field("reclaimed_leases", dist.reclaimed_leases);
-    w.field("retries", dist.retries);
-    w.field("poisoned_units", dist.poisoned_units);
-    w.end_object();
-  }
-
   w.key("metrics");
   metrics.write_json(w);
 

@@ -5,9 +5,8 @@
 /// reproduce and interpret a run — the scenario parameters, seed,
 /// replication count, git version, per-replication determinism digests, the
 /// merged metrics snapshot, the wall-clock self-profile, and the result
-/// series. Every figure bench emits one of these (via the campaign engine,
-/// src/campaign/engine.cpp)
-/// so downstream tooling consumes a uniform artifact; the schema is
+/// series. Every campaign emits one of these (src/campaign/engine.cpp) so
+/// downstream tooling consumes a uniform artifact; the schema is
 /// validated by tools/check_manifest.py in CI and documented in
 /// docs/OBSERVABILITY.md.
 ///
@@ -26,17 +25,6 @@
 namespace alert::obs {
 
 inline constexpr const char* kManifestSchema = "alertsim-run-manifest/1";
-
-/// How a distributed fan-out (src/dist/) converged: worker count and the
-/// fault-tolerance events absorbed along the way. Optional on the manifest
-/// (absent = single-process or not requested) so default manifests stay
-/// byte-identical across live/cached/distributed runs.
-struct DistSummary {
-  std::uint64_t workers = 0;          ///< distinct worker ids that claimed
-  std::uint64_t reclaimed_leases = 0; ///< stale leases broken
-  std::uint64_t retries = 0;          ///< executions beyond each unit's first
-  std::uint64_t poisoned_units = 0;   ///< units quarantined
-};
 
 struct RunManifest {
   std::string name;         ///< machine id, e.g. "fig14a_latency_vs_nodes"
@@ -60,11 +48,6 @@ struct RunManifest {
   /// so byte-identity contracts (cold vs cached campaign manifests) are
   /// untouched by default.
   std::uint64_t peak_rss_bytes = 0;
-
-  /// Distributed-convergence summary (see DistSummary). Only stamped when a
-  /// dist aggregation requested it; omitted from the JSON otherwise.
-  bool has_dist = false;
-  DistSummary dist;
 
   MetricsSnapshot metrics;
   ProfileReport profile;

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """check_manifest — validate alertsim run-manifest JSON (and optionally a
-Chrome trace file or a benchmark baseline) emitted by the figure benches,
+Chrome trace file or a benchmark baseline) emitted by alertsim-campaign,
 alertsim_cli and alertsim-perf.
 
 Schemas: "alertsim-run-manifest/1" (docs/OBSERVABILITY.md) and
@@ -150,18 +150,6 @@ def check_manifest(doc) -> None:
     if "peak_rss_bytes" in doc:  # optional: stamped only under --peak-rss
         expect(is_int(doc["peak_rss_bytes"]) and doc["peak_rss_bytes"] > 0,
                "'peak_rss_bytes' must be a positive integer when present")
-    if "dist" in doc:  # optional: stamped only under --dist-summary
-        dist = doc["dist"]
-        expect(isinstance(dist, dict), "'dist' must be an object")
-        for key in ("workers", "reclaimed_leases", "retries",
-                    "poisoned_units"):
-            expect(is_int(dist.get(key)) and dist[key] >= 0,
-                   f"dist.'{key}' must be a non-negative integer")
-        expect(set(dist) == {"workers", "reclaimed_leases", "retries",
-                             "poisoned_units"},
-               "'dist' must contain exactly the four convergence counters")
-        expect(dist["workers"] > 0,
-               "dist.'workers' must be positive (someone claimed the units)")
 
 
 def check_bench_report(doc) -> None:

@@ -10,8 +10,9 @@
 #   3. on the loss sweep, delivery degrades monotonically with the loss
 #      rate on every ARQ-off curve, and the matching ARQ-on curve
 #      dominates it at every point.
-# No cache dir is passed, so the second run genuinely re-executes. CI runs
-# this under ASan, so the fault/ARQ code paths are also leak/UB-checked.
+# Both runs pass --no-cache, so the second run genuinely re-executes every
+# unit instead of replaying the first run's cache entries. CI runs this
+# under ASan, so the fault/ARQ code paths are also leak/UB-checked.
 #
 # Usage: tools/fault_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -19,20 +20,23 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR=${1:-build}
 
+BIN="$BUILD_DIR/tools/alertsim-campaign"
+[ -x "$BIN" ] || { echo "fault smoke: $BIN not built" >&2; exit 1; }
+
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
 for fig in ablation_loss_arq ablation_churn_arq; do
-  BIN="$BUILD_DIR/bench/$fig"
-  [ -x "$BIN" ] || { echo "fault smoke: $BIN not built" >&2; exit 1; }
   echo "fault smoke: $fig — two independent runs"
-  "$BIN" --reps=2 --threads=2 --metrics-out="$WORK/$fig.1.json" \
-    > "$WORK/$fig.1.log"
-  "$BIN" --reps=2 --threads=2 --metrics-out="$WORK/$fig.2.json" \
-    > "$WORK/$fig.2.log"
-  python3 tools/check_manifest.py "$WORK/$fig.1.json"
+  for run in 1 2; do
+    "$BIN" --figure "$fig" --reps 2 --threads 2 --no-cache \
+      --out-dir "$WORK/run$run" > "$WORK/$fig.$run.log"
+    grep -q ", 0 cached, " "$WORK/$fig.$run.log" ||
+      { echo "fault smoke: $fig run $run served cached units" >&2; exit 1; }
+  done
+  python3 tools/check_manifest.py "$WORK/run1/$fig.json"
 
-  python3 - "$WORK/$fig.1.json" "$WORK/$fig.2.json" <<'EOF'
+  python3 - "$WORK/run1/$fig.json" "$WORK/run2/$fig.json" <<'EOF'
 import json, sys
 a, b = (json.load(open(p)) for p in sys.argv[1:3])
 for key in ("trace_digests", "series", "metrics"):
@@ -43,7 +47,7 @@ print(f"fault smoke: {a['name']}: {len(a['trace_digests'])} determinism "
 EOF
 done
 
-python3 - "$WORK/ablation_loss_arq.1.json" <<'EOF'
+python3 - "$WORK/run1/ablation_loss_arq.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))
 series = {s["name"]: [(p["x"], p["y"]) for p in s["points"]]
