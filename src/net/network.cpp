@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "crypto/sha1.hpp"
 
@@ -102,6 +103,8 @@ Network::Network(sim::Simulator& simulator, NetworkConfig config,
   handlers_.assign(nodes_.size(), nullptr);
 
   delivery_ids_.resize(nodes_.size());
+  oldest_heard_.assign(nodes_.size(),
+                       std::numeric_limits<sim::Time>::infinity());
   if (selects_grid(config_.field, config_.radio_range_m)) {
     grid_ = std::make_unique<scale::SpatialGrid>(
         config_.field, config_.radio_range_m,
@@ -315,17 +318,19 @@ void Network::deliver_broadcast(NodeId sender, const Packet& pkt,
   const sim::Time now = sim_.now();
   const std::size_t receiver_count =
       gather_receivers(sender_pos, config_.radio_range_m, now);
+  // Channel faults: jammer discs over either endpoint (the sender's once per
+  // frame), then the loss model's independent draw for each receiver. No
+  // ack exists for broadcasts, so a loss is simply a missed reception (this
+  // starves neighbour tables under loss — hellos are broadcasts too).
+  const bool sender_jammed = config_.faults.jammed(sender_pos, now);
+  const bool any_outage = !config_.faults.outages.empty();
   for (std::size_t i = 0; i < receiver_count; ++i) {
     const NodeId id = delivery_ids_[i];
     if (id == sender) continue;
     Node& receiver = *nodes_[id];
     if (!receiver.alive()) continue;  // crashed radios hear nothing
-    // Per-receiver channel faults: jammer discs over either endpoint, then
-    // the loss model's independent draw for this receiver. No ack exists
-    // for broadcasts, so a loss is simply a missed reception (this is what
-    // starves neighbour tables under loss — hellos are broadcasts too).
-    if (config_.faults.jammed(sender_pos, now) ||
-        config_.faults.jammed(receiver.position(now), now) ||
+    if (sender_jammed ||
+        (any_outage && config_.faults.jammed(receiver.position(now), now)) ||
         (channel_ != nullptr && channel_->lose_frame(sender, id))) {
       ++broadcast_losses_;
       continue;
@@ -337,7 +342,11 @@ void Network::deliver_broadcast(NodeId sender, const Packet& pkt,
           NeighborInfo{pkt.src_pseudonym, s.position(now), s.public_key(),
                        now},
           now);
-      receiver.expire_neighbors(now, config_.neighbor_max_age_s);
+      sim::Time& oldest = oldest_heard_[id];
+      oldest = std::min(oldest, now);
+      if (now - oldest > config_.neighbor_max_age_s) {
+        oldest = receiver.expire_neighbors(now, config_.neighbor_max_age_s);
+      }
       continue;  // hellos are consumed by the neighbour layer
     }
     for (auto* l : listeners_) l->on_deliver(receiver, pkt, now);

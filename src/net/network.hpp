@@ -298,6 +298,9 @@ class Network {
   /// Receiver scratch for deliver_broadcast, pre-sized to node_count so the
   /// gather writes by index (see gather_receivers).
   std::vector<NodeId> delivery_ids_;
+  /// Per node, a lower bound on the oldest last_heard in its neighbour
+  /// table: hello receptions run the expiry pass only once it is stale.
+  std::vector<sim::Time> oldest_heard_;
 };
 
 }  // namespace alert::net

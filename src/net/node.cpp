@@ -1,6 +1,7 @@
 #include "net/node.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace alert::net {
 
@@ -28,10 +29,14 @@ void Node::observe_neighbor(const NeighborInfo& info, sim::Time now) {
   neighbors_.push_back(entry);
 }
 
-void Node::expire_neighbors(sim::Time now, double max_age) {
-  std::erase_if(neighbors_, [now, max_age](const NeighborInfo& n) {
-    return now - n.last_heard > max_age;
+sim::Time Node::expire_neighbors(sim::Time now, double max_age) {
+  sim::Time oldest = std::numeric_limits<sim::Time>::infinity();
+  std::erase_if(neighbors_, [now, max_age, &oldest](const NeighborInfo& n) {
+    const bool stale = now - n.last_heard > max_age;
+    if (!stale) oldest = std::min(oldest, n.last_heard);
+    return stale;
   });
+  return oldest;
 }
 
 void Node::remove_neighbor(Pseudonym p) {

@@ -78,8 +78,10 @@ class Node {
   // --- neighbour table --------------------------------------------------
   /// Record a received hello beacon.
   void observe_neighbor(const NeighborInfo& info, sim::Time now);
-  /// Drop entries not refreshed within `max_age`.
-  void expire_neighbors(sim::Time now, double max_age);
+  /// Drop entries not refreshed within `max_age` and return the oldest
+  /// surviving last_heard (+infinity if none survive): while `now` minus a
+  /// lower bound on it is at most `max_age`, a pass would drop nothing.
+  sim::Time expire_neighbors(sim::Time now, double max_age);
   /// Drop one entry by pseudonym (link-layer failure feedback: the ARQ gave
   /// up on this neighbour, stop routing through it).
   void remove_neighbor(Pseudonym p);

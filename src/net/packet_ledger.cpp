@@ -26,11 +26,6 @@ void PacketLedger::open(std::uint64_t uid, sim::Time now) {
   ++open_count_;
 }
 
-void PacketLedger::open_if_new(std::uint64_t uid, sim::Time now) {
-  if (uid == 0 || find(uid) != nullptr) return;
-  open(uid, now);
-}
-
 void PacketLedger::close(std::uint64_t uid, PacketFate fate, sim::Time now) {
   ALERT_INVARIANT(fate != PacketFate::InFlight,
                   "InFlight is not a terminal packet fate");

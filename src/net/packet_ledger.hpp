@@ -69,10 +69,6 @@ class PacketLedger {
   /// an invariant violation (uids are globally unique per run).
   void open(std::uint64_t uid, sim::Time now);
 
-  /// Begin tracking `uid` unless it is already known (the Network transmit
-  /// choke point calls this on every hop of a multi-hop packet).
-  void open_if_new(std::uint64_t uid, sim::Time now);
-
   /// Record `uid`'s terminal fate. Closing a uid that was never opened is
   /// an invariant violation; closing an already-closed uid is ignored
   /// (duplicate copies of one application packet are expected).

@@ -107,8 +107,10 @@ ComparisonReport compare_reports(const BenchReport& baseline,
       c.verdict = worse ? Verdict::Regressed : Verdict::Ok;
     } else {
       c.delta_pct = (cur->value - base.value) / base.value * 100.0;
+      // A throughput is gated on the slowdown it implies: halved reads +100%.
       const double worse_pct =
-          base.higher_is_better ? -c.delta_pct : c.delta_pct;
+          base.higher_is_better ? (base.value / cur->value - 1.0) * 100.0
+                                : c.delta_pct;
       if (worse_pct > c.tolerance_pct) {
         c.verdict = Verdict::Regressed;
       } else if (-worse_pct > c.tolerance_pct) {

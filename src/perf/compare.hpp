@@ -8,8 +8,8 @@
 ///
 /// Verdicts are direction-aware: for lower-is-better metrics (ns/op, peak
 /// RSS) a regression is current > baseline * (1 + tol); for
-/// higher-is-better (events/s, units/s) it is current < baseline *
-/// (1 - tol). A baseline metric absent from the current run fails the gate
+/// higher-is-better (events/s, units/s) it is baseline > current *
+/// (1 + tol). A baseline metric absent from the current run fails the gate
 /// (a silently dropped bench would otherwise hide forever); a new current
 /// metric only produces a note until the baseline is refreshed.
 

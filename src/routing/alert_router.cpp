@@ -1,5 +1,6 @@
 #include "routing/alert_router.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -257,22 +258,11 @@ void AlertRouter::resend(std::uint32_t flow, std::uint32_t seq) {
 void AlertRouter::handle(net::Node& self, const net::Packet& pkt) {
   ALERT_OBS_TIMED(profiler_, handle_scope_);
   switch (pkt.kind) {
-    case net::PacketKind::Cover: {
-      // Attempt to decrypt the TTL with our private key; cover packets
-      // never yield the magic tag, so they die here (Sec. 2.6).
-      if (pkt.alert && pkt.alert->ttl_enc) {
-        const std::uint64_t ttl_ct =
-            *pkt.alert->ttl_enc % self.private_key().n();
-        const std::uint64_t v =
-            crypto::rsa_decrypt_value(self.private_key(), ttl_ct);
-        if ((v >> 8) == kTtlMagic) {
-          // Indistinguishable-from-cover real packet addressed to us would
-          // continue here; covers never reach this branch.
-          return;
-        }
-      }
+    case net::PacketKind::Cover:
+      // Covers die here unread (Sec. 2.6). Their TTL is random garbage, so
+      // no receiver's key can unseal it, and the cost model never charged
+      // the attempt: running the RSA private op would change no output.
       return;
-    }
     case net::PacketKind::Data:
     case net::PacketKind::Confirm:
     case net::PacketKind::Nak:
@@ -485,7 +475,6 @@ void AlertRouter::deliver_into_zone(net::Node& self, net::Packet pkt) {
     processing += net_.config().crypto_cost.public_encrypt_s;
 
     // First-step multicast: m random zone members (D not guaranteed in).
-    const util::Vec2 self_pos = self.position(net_.now());
     std::vector<net::Pseudonym> zone_members;
     for (const auto& n : self.neighbors()) {
       if (pkt.alert->dest_zone.contains(n.position)) {
@@ -500,7 +489,6 @@ void AlertRouter::deliver_into_zone(net::Node& self, net::Packet pkt) {
       zone_members.erase(zone_members.begin() +
                          static_cast<std::ptrdiff_t>(pick));
     }
-    (void)self_pos;
   }
   pkt.size_bytes = pkt.payload.size() + header_bytes(pkt);
   // The broadcaster itself may be a zone member (or even D).

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/mac.hpp"
 #include "sim/simulator.hpp"
 
@@ -268,6 +270,47 @@ TEST(Network, PseudonymResolutionMatchesFullScan) {
     EXPECT_EQ(net.resolve_pseudonym(old[id]), id);
   }
   EXPECT_EQ(net.resolve_pseudonym(0xFFFFFFFFDEADULL), kInvalidNode);
+}
+
+TEST(Network, SilentNeighbourExpiresAtFirstHelloPastMaxAge) {
+  // Three nodes in a line, all in range. Node 2 falls silent at t = 3 s;
+  // node 1 keeps hearing node 0, and each of those hellos is its chance to
+  // expire node 2. Node 2's entry must go at the first hello more than
+  // neighbor_max_age_s after node 2's last one, and not before: expiry on
+  // demand keeps exactly the table an expiry pass on every hello keeps.
+  sim::Simulator simulator;
+  NetworkConfig cfg;
+  cfg.node_count = 3;
+  cfg.pseudonym_period_s = 1.0e6;  // node 2 keeps the pseudonym it beacons
+  Network net(simulator, cfg,
+              std::make_unique<StaticPlacement>(
+                  std::vector<util::Vec2>{{0, 0}, {100, 0}, {200, 0}}),
+              util::Rng(99), 1000.0);
+  simulator.run_until(3.0);
+  net.set_node_alive(2, false);
+  const Node& listener = net.node(1);
+  const Pseudonym silent = net.node(2).pseudonym();
+  const NeighborInfo* entry = listener.find_neighbor(silent);
+  ASSERT_NE(entry, nullptr);
+  const sim::Time last = entry->last_heard;
+  bool expired = false;
+  for (int step = 1; step <= 500; ++step) {
+    const sim::Time t = 3.0 + 0.01 * step;
+    simulator.run_until(t);
+    sim::Time newest = 0.0;
+    for (const NeighborInfo& n : listener.neighbors()) {
+      newest = std::max(newest, n.last_heard);
+    }
+    entry = listener.find_neighbor(silent);
+    ASSERT_EQ(entry != nullptr, newest - last <= cfg.neighbor_max_age_s)
+        << "t = " << t << ", newest hello " << newest << ", node 2 last "
+        << last;
+    if (entry != nullptr) {
+      EXPECT_EQ(entry->last_heard, last);
+    }
+    expired = expired || entry == nullptr;
+  }
+  EXPECT_TRUE(expired);
 }
 
 TEST(Network, FieldGeometrySelectsGridOrScan) {

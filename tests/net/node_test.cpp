@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/rng.hpp"
 
 namespace alert::net {
@@ -62,6 +64,23 @@ TEST(Node, ExpireNeighborsDropsStaleEntries) {
   n.expire_neighbors(4.0, 2.5);
   ASSERT_EQ(n.neighbors().size(), 1u);
   EXPECT_EQ(n.neighbors()[0].pseudonym, 2u);
+}
+
+TEST(Node, ExpireNeighborsReturnsOldestRemaining) {
+  constexpr sim::Time kNone = std::numeric_limits<sim::Time>::infinity();
+  Node n = make_node();
+  n.observe_neighbor({1, {0, 0}, {}, 0.0}, 0.5);
+  n.observe_neighbor({2, {0, 0}, {}, 0.0}, 2.0);
+  n.observe_neighbor({3, {0, 0}, {}, 0.0}, 1.5);
+  // Mixed ages: entry 1 (3.0 s old) goes; of the survivors, 3 is oldest.
+  EXPECT_EQ(n.expire_neighbors(3.5, 2.5), 1.5);
+  ASSERT_EQ(n.neighbors().size(), 2u);
+  // Every entry expired: no survivor bounds the next pass.
+  EXPECT_EQ(n.expire_neighbors(10.0, 2.5), kNone);
+  EXPECT_TRUE(n.neighbors().empty());
+  // An empty table stays empty and still reports no survivor.
+  EXPECT_EQ(n.expire_neighbors(11.0, 2.5), kNone);
+  EXPECT_TRUE(n.neighbors().empty());
 }
 
 TEST(Node, FindNeighborByPseudonym) {

@@ -205,6 +205,29 @@ TEST(Compare, HigherIsBetterRegressionTripsGate) {
   EXPECT_EQ(cmp.items[0].verdict, Verdict::Regressed);
 }
 
+TEST(Compare, ThroughputCollapseTripsScaledGate) {
+  // A 10x events/s drop is a 900% slowdown. Read as -delta_pct it would be
+  // 90%, which CI's scale 4.0 (25% -> 100%) could never exceed.
+  const BenchReport base = sample_report();
+  BenchReport cur = base;
+  cur.metrics[0].value = 1.0e5;
+  CompareOptions ci;
+  ci.tolerance_scale = 4.0;
+  const ComparisonReport cmp = compare_reports(base, cur, ci);
+  EXPECT_FALSE(cmp.passed());
+  EXPECT_EQ(cmp.items[0].verdict, Verdict::Regressed);
+  EXPECT_NEAR(cmp.items[0].delta_pct, -90.0, 1e-9);  // displayed as before
+}
+
+TEST(Compare, SmallThroughputDropStaysOk) {
+  const BenchReport base = sample_report();
+  BenchReport cur = base;
+  cur.metrics[0].value = 0.9e6;  // -10%: an 11.1% slowdown, inside 25%
+  const ComparisonReport cmp = compare_reports(base, cur, {});
+  EXPECT_TRUE(cmp.passed());
+  EXPECT_EQ(cmp.items[0].verdict, Verdict::Ok);
+}
+
 TEST(Compare, ImprovementIsReportedNotFailed) {
   const BenchReport base = sample_report();
   BenchReport cur = base;
