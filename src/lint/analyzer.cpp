@@ -1,11 +1,7 @@
 #include "lint/analyzer.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -26,20 +22,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
-const RuleInfo kHeaderRule{"header-self-sufficiency",
-                           "header does not compile standalone"};
-
 bool is_cxx_source(const fs::path& p) {
   static const std::set<std::string> kExts{".cpp", ".cc", ".cxx",
                                            ".hpp", ".hh", ".h"};
   return kExts.count(p.extension().string()) != 0;
-}
-
-bool is_header(const std::string& rel_path) {
-  const std::size_t dot = rel_path.rfind('.');
-  if (dot == std::string::npos) return false;
-  const std::string ext = rel_path.substr(dot);
-  return ext == ".hpp" || ext == ".hh" || ext == ".h";
 }
 
 std::string read_file(const fs::path& p) {
@@ -47,50 +33,6 @@ std::string read_file(const fs::path& p) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return std::move(ss).str();
-}
-
-/// Compile `root/rel` standalone, Python-linter style: a throwaway TU that
-/// includes the header, so include guards and `#pragma once` behave exactly
-/// as they do in real consumers. Returns the first error line on failure.
-bool header_compiles(const std::string& cxx, const std::string& root,
-                     const std::string& rel, std::string* first_error) {
-  const fs::path tu = fs::temp_directory_path() /
-                      ("alertsim-analyzer-self-sufficiency-" +
-                       std::to_string(static_cast<unsigned>(::getpid())) +
-                       ".cpp");
-  {
-    std::ofstream out(tu);
-    out << "#include \"" << rel << "\"\n";
-  }
-  const std::string cmd = cxx + " -std=c++20 -fsyntax-only -I '" + root +
-                          "' '" + tu.string() + "' 2>&1";
-  std::string output;
-  if (FILE* pipe = ::popen(cmd.c_str(), "r")) {
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) {
-      output.append(buf, n);
-    }
-    const int status = ::pclose(pipe);
-    std::error_code ec;
-    fs::remove(tu, ec);
-    if (status == 0) return true;
-  } else {
-    std::error_code ec;
-    fs::remove(tu, ec);
-    *first_error = "failed to launch '" + cxx + "'";
-    return false;
-  }
-  std::istringstream lines(output);
-  std::string line;
-  *first_error = output.substr(0, output.find('\n'));
-  while (std::getline(lines, line)) {
-    if (line.find("error") != std::string::npos) {
-      *first_error = line;
-      break;
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -113,7 +55,6 @@ std::vector<RuleInfo> rule_catalog(const AnalyzerConfig& config) {
   for (const auto& rule : make_default_rules(config)) {
     out.push_back(rule->info());
   }
-  out.push_back(kHeaderRule);
   out.push_back(stale_waiver_rule());
   std::sort(out.begin(), out.end(),
             [](const RuleInfo& a, const RuleInfo& b) { return a.id < b.id; });
@@ -181,27 +122,8 @@ AnalyzeResult analyze(const AnalyzerOptions& options) {
     }
   }
 
-  // Header self-sufficiency is compiler-backed, not token-backed: every
-  // header must compile in a TU of its own, matching the retired linter.
-  if (options.check_headers) {
-    std::string cxx = options.cxx;
-    if (cxx.empty()) {
-      const char* env = std::getenv("CXX");
-      cxx = env != nullptr && *env != '\0' ? env : "g++";
-    }
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      if (!is_header(paths[i])) continue;
-      std::string first_error;
-      if (!header_compiles(cxx, options.root, paths[i], &first_error)) {
-        sink.emit(kHeaderRule, result.files[i], 1, 1,
-                  "header does not compile standalone: " + first_error);
-      }
-    }
-  }
-
   // Every waiver must suppress something. Waivers for rules this scan
   // switched off had no chance to, so they are not judged.
-  if (!options.check_headers) off.insert(kHeaderRule.id);
   if (off.count(stale_waiver_rule().id) == 0) {
     sink.flag_stale_waivers(result.files, off);
   }
@@ -210,8 +132,7 @@ AnalyzeResult analyze(const AnalyzerOptions& options) {
   result.report.files_scanned = paths.size();
   result.report.waived = sink.waived_count();
 
-  // --stats accounting: findings are attributed before diff-mode
-  // filtering, sorted by wall time so the expensive rules lead.
+  // --stats accounting, sorted by wall time so the expensive rules lead.
   {
     std::map<std::string, std::size_t> findings_by_rule;
     for (const Finding& f : findings) ++findings_by_rule[f.rule];
@@ -222,11 +143,9 @@ AnalyzeResult analyze(const AnalyzerOptions& options) {
       stat.findings = findings_by_rule[stat.id];
       result.rule_stats.push_back(std::move(stat));
     }
-    for (const RuleInfo* pass : {&kHeaderRule, &stale_waiver_rule()}) {
-      if (findings_by_rule.count(pass->id) != 0) {
-        result.rule_stats.push_back(
-            {pass->id, 0, findings_by_rule[pass->id]});
-      }
+    const std::string& stale = stale_waiver_rule().id;
+    if (findings_by_rule.count(stale) != 0) {
+      result.rule_stats.push_back({stale, 0, findings_by_rule[stale]});
     }
     std::sort(result.rule_stats.begin(), result.rule_stats.end(),
               [](const RuleStat& a, const RuleStat& b) {
@@ -235,12 +154,6 @@ AnalyzeResult analyze(const AnalyzerOptions& options) {
               });
   }
 
-  if (!options.only_paths.empty()) {
-    const std::set<std::string> only(options.only_paths.begin(),
-                                     options.only_paths.end());
-    std::erase_if(findings,
-                  [&](const Finding& f) { return only.count(f.path) == 0; });
-  }
   result.report.findings = std::move(findings);
   return result;
 }

@@ -3,8 +3,7 @@
 /// \file analyzer.hpp
 /// Scan orchestration: discover sources under a root, lex and run the
 /// per-file rules in parallel over util::ThreadPool, run whole-program
-/// rules serially, optionally verify header self-sufficiency with the
-/// real compiler, then report unused waivers and assemble a ScanReport.
+/// rules serially, then report unused waivers and assemble a ScanReport.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,13 +19,6 @@ namespace alert::analysis_tools {
 struct AnalyzerOptions {
   std::string root;  ///< directory to scan (e.g. "src")
   AnalyzerConfig config;
-  /// Compile each header standalone (`$CXX -std=c++20 -fsyntax-only`).
-  /// Needs a toolchain; off by default so pure-token scans stay hermetic.
-  bool check_headers = false;
-  std::string cxx;  ///< compiler for header checks; "" = $CXX or "g++"
-  /// When non-empty, only findings in these rel paths are reported (diff
-  /// mode). Whole-program analysis still sees the full tree.
-  std::vector<std::string> only_paths;
   /// Rel-path prefixes dropped from the scan entirely (e.g. the analyzer's
   /// own deliberately-broken lint_fixtures/ when scanning tools/).
   std::vector<std::string> exclude_paths;
@@ -40,8 +32,7 @@ struct AnalyzerOptions {
 
 /// Per-rule cost/yield accounting for --stats: wall time summed across
 /// every phase the rule ran in (parallel check_file time is summed over
-/// files, so it can exceed the scan's wall clock) and findings counted
-/// before diff-mode filtering.
+/// files, so it can exceed the scan's wall clock) and findings counted.
 struct RuleStat {
   std::string id;
   std::uint64_t wall_ns = 0;
@@ -63,9 +54,8 @@ struct AnalyzeResult {
 
 [[nodiscard]] AnalyzeResult analyze(const AnalyzerOptions& options);
 
-/// The full rule catalog (token rules, the compiler-backed
-/// header-self-sufficiency rule and stale-waiver) — for --list-rules and
-/// SARIF metadata.
+/// The full rule catalog (token rules and stale-waiver) — for --list-rules
+/// and SARIF metadata.
 [[nodiscard]] std::vector<RuleInfo> rule_catalog(const AnalyzerConfig& config);
 
 }  // namespace alert::analysis_tools

@@ -5,9 +5,9 @@
 /// against a config; docs/VERIFICATION.md documents each rule's rationale.
 ///
 /// Ported from the retired Python alert-lint (token-based now):
-///   float-type, raw-stdout, iterator-invalidation (header-self-sufficiency
-///   lives in the analyzer — it shells out to the compiler rather than
-///   matching tokens).
+///   float-type, raw-stdout, iterator-invalidation (its
+///   header-self-sufficiency check is the `header_check` build target in
+///   src/CMakeLists.txt, not a rule).
 /// New rules regex could not express:
 ///   module-layering, unordered-iteration-ordering, pointer-ordering,
 ///   exhaustive-enum, mutable-global.

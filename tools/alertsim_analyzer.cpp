@@ -5,8 +5,7 @@
 ///
 /// Modes:
 ///   alertsim-analyzer [--root=src] [--format=text|json|sarif]
-///       [--output=FILE] [--sarif-out=FILE] [--skip-headers]
-///       [--cxx=BIN] [--diff-base=REF] [--threads=N]
+///       [--output=FILE] [--sarif-out=FILE] [--threads=N]
 ///       [--disable=rule,rule,...] [--exclude=prefix,prefix,...]
 ///       [--stats] [--stats-out=FILE]
 ///   alertsim-analyzer --self-test [--fixtures=DIR] [--parity=FILE]
@@ -55,32 +54,6 @@ std::string read_file_or_empty(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return std::move(ss).str();
-}
-
-/// `git diff --name-only <ref> -- <root>` as scan-root-relative paths.
-/// Fails open to a full scan: a broken git invocation must widen coverage,
-/// never narrow it.
-std::vector<std::string> changed_paths(const std::string& ref,
-                                       const std::string& root) {
-  const std::string cmd =
-      "git diff --name-only " + ref + " -- '" + root + "' 2>/dev/null";
-  std::vector<std::string> out;
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return out;
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) text.append(buf, n);
-  if (::pclose(pipe) != 0) return {};
-  const std::string prefix = root.back() == '/' ? root : root + "/";
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.compare(0, prefix.size(), prefix) == 0) {
-      out.push_back(line.substr(prefix.size()));
-    }
-  }
-  return out;
 }
 
 /// EXPECT annotations of one fixture: `// EXPECT: <rule> <count>`.
@@ -249,10 +222,12 @@ int main(int argc, char** argv) {
 
   lint::AnalyzerOptions options;
   options.root = args->get("root", std::string("src"));
-  options.check_headers = !args->get("skip-headers", false);
-  options.cxx = args->get("cxx", std::string());
-  options.threads =
-      static_cast<std::size_t>(args->get("threads", std::int64_t{0}));
+  const std::int64_t threads = args->get("threads", std::int64_t{0});
+  if (threads < 0) {
+    std::cerr << "alertsim-analyzer: --threads must be >= 0\n";
+    return 2;
+  }
+  options.threads = static_cast<std::size_t>(threads);
   options.exclude_paths = split_csv(args->get("exclude", std::string()));
   options.disabled_rules = split_csv(args->get("disable", std::string()));
   if (!options.disabled_rules.empty()) {
@@ -266,17 +241,6 @@ int main(int argc, char** argv) {
                   << "' (see --list-rules)\n";
         return 2;
       }
-      // Not a token rule — implemented as the compiler-backed pass.
-      if (id == "header-self-sufficiency") options.check_headers = false;
-    }
-  }
-  const std::string diff_base = args->get("diff-base", std::string());
-  if (!diff_base.empty()) {
-    options.only_paths = changed_paths(diff_base, options.root);
-    if (options.only_paths.empty()) {
-      std::cerr << "alertsim-analyzer: no changes vs '" << diff_base
-                << "' under " << options.root << " — nothing to scan\n";
-      return 0;
     }
   }
 

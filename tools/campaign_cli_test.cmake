@@ -10,25 +10,10 @@ foreach(var CAMPAIGN OUT)
   endif()
 endforeach()
 
-# expect_usage_error(<stderr regex> <flag...>): run one analytical figure
-# with the flags appended and require exit 2 and a matching stderr.
-function(expect_usage_error pattern)
-  execute_process(
-    COMMAND "${CAMPAIGN}" --figure fig07a_possible_nodes --no-cache
-            --out-dir "${OUT}" ${ARGN}
-    RESULT_VARIABLE rc
-    OUTPUT_QUIET
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 2)
-    message(FATAL_ERROR
-            "campaign_cli_test: '${ARGN}' expected exit 2, got '${rc}'")
-  endif()
-  if(NOT err MATCHES "${pattern}")
-    message(FATAL_ERROR
-            "campaign_cli_test: '${ARGN}' stderr does not match "
-            "'${pattern}':\n${err}")
-  endif()
-endfunction()
+# One analytical figure.
+set(TOOL "${CAMPAIGN}")
+set(BASE_ARGS --figure fig07a_possible_nodes --no-cache --out-dir "${OUT}")
+include(${CMAKE_CURRENT_LIST_DIR}/expect_usage_error.cmake)
 
 # --metrics-out names one file, but the driver writes one manifest per
 # campaign; the message must point at the flag that does the job.

@@ -3,8 +3,8 @@
 // the lint.sarif_golden ctest entry. Kept outside lint_fixtures/ so the
 // self-test's EXPECT bookkeeping never couples to the golden file. If the
 // SARIF writer changes shape intentionally, regenerate expected.sarif with:
-//   alertsim-analyzer --root tools/sarif_fixture --skip-headers \
-//       --format sarif --output tools/sarif_fixture/expected.sarif
+//   alertsim-analyzer --root tools/sarif_fixture --format sarif \
+//       --output tools/sarif_fixture/expected.sarif
 
 int g_counter = 0;
 

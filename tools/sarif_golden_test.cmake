@@ -13,8 +13,8 @@ foreach(var ANALYZER FIXTURE_ROOT GOLDEN OUT)
 endforeach()
 
 execute_process(
-  COMMAND "${ANALYZER}" --root "${FIXTURE_ROOT}" --skip-headers
-          --format sarif --output "${OUT}"
+  COMMAND "${ANALYZER}" --root "${FIXTURE_ROOT}" --format sarif
+          --output "${OUT}"
   RESULT_VARIABLE scan_rc)
 # The fixture contains deliberate findings, so the contract exit code is 1;
 # anything else means the scan itself misbehaved.
