@@ -55,7 +55,7 @@ BENCHMARK(BM_RsaEncryptValue);
 
 /// Cycles through 4096 ciphertexts under 256 keys: with one ciphertext under
 /// one key the branch predictor learns the exponent and the loop under-reports
-/// what a cover reception (a fresh key and ciphertext each time) costs.
+/// what a first-hop TTL unseal (a fresh key and ciphertext each time) costs.
 void BM_RsaDecryptValue(benchmark::State& state) {
   constexpr std::size_t kKeys = 256;
   constexpr std::size_t kCiphertexts = 4096;

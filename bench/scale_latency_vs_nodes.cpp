@@ -99,8 +99,8 @@ int main(int argc, char** argv) {
   events_per_s.name = "events_per_s";
 
   for (const std::size_t n : node_counts) {
-    core::ScenarioConfig config = perf::scale_scenario(n, duration_s);
-    config.obs.profile = true;  // per-subsystem scopes, incl. net.query
+    // Profiled like every perf scenario: per-subsystem scopes, net.query too.
+    const core::ScenarioConfig config = perf::scale_scenario(n, duration_s);
     if (manifest.seed == 0) manifest.seed = config.seed;
     ALERT_LOG_INFO("scale bench: %zu nodes, %.1f s sim time...", n,
                    duration_s);

@@ -150,7 +150,11 @@ std::vector<int> disk_components(const net::Network& network, sim::Time t) {
 
 void validate_scenario(const ScenarioConfig& config) {
   std::optional<std::string> err = faults::validate(config.faults);
-  if (!err && config.mac.arq.enabled) {
+  if (!err && config.flow_count > 0 && config.node_count < 2) {
+    // A flow needs a destination other than its source; with fewer than
+    // two nodes the pair draw in run_once could never find one.
+    err = "flows need at least two nodes";
+  } else if (!err && config.mac.arq.enabled) {
     if (config.mac.arq.retry_limit <= 0) {
       err = "mac.arq.retry_limit must be >= 1 when ARQ is enabled";
     } else if (config.mac.arq.ack_timeout_s < 0.0 ||

@@ -108,7 +108,8 @@ struct ExperimentResult {
 /// Reject unusable scenarios before any simulation runs: a fault plan with
 /// a loss probability outside [0,1] or negative MTTF/MTTR, or ARQ enabled
 /// with a non-positive retry budget / negative timings, silently produces
-/// garbage curves. The message goes to stderr and the process exits with
+/// garbage curves, and flows over fewer than two nodes would never find a
+/// destination. The message goes to stderr and the process exits with
 /// status 2 — the same hard-error contract as a malformed ALERTSIM_REPS.
 /// run_once calls this on every replication; harnesses building many
 /// scenarios can call it early to fail before spending any simulation time.

@@ -25,11 +25,10 @@ sim::Time segment_toward(Node& node, util::Vec2 from, util::Vec2 to,
 
 // --- RandomWaypoint --------------------------------------------------------
 
-void RandomWaypoint::initialize(std::vector<std::unique_ptr<Node>>& nodes,
-                                util::Rng& rng) {
-  for (auto& n : nodes) {
+void RandomWaypoint::initialize(std::span<Node> nodes, util::Rng& rng) {
+  for (Node& n : nodes) {
     const util::Vec2 start = rng.point_in(field_);
-    segment_toward(*n, start, rng.point_in(field_), speed_, 0.0);
+    segment_toward(n, start, rng.point_in(field_), speed_, 0.0);
   }
 }
 
@@ -80,25 +79,24 @@ void GroupMobility::advance_reference(std::size_t g, sim::Time now,
   }
 }
 
-void GroupMobility::initialize(std::vector<std::unique_ptr<Node>>& nodes,
-                               util::Rng& rng) {
+void GroupMobility::initialize(std::span<Node> nodes, util::Rng& rng) {
   node_count_ = nodes.size();
   for (std::size_t g = 0; g < refs_.size(); ++g) {
     refs_[g].start_pos = rng.point_in(field_);
     refs_[g].start = 0.0;
     advance_reference(g, 0.0, rng);
   }
-  for (auto& n : nodes) {
-    const std::size_t g = group_of(n->id());
+  for (Node& n : nodes) {
+    const std::size_t g = group_of(n.id());
     const double ang = rng.uniform(0.0, 2.0 * M_PI);
     const double rad = range_ * std::sqrt(rng.uniform());
     const util::Vec2 start = field_.clamp(
         reference_point(g, 0.0) +
         util::Vec2{rad * std::cos(ang), rad * std::sin(ang)});
-    next_segment(*n, 0.0, rng);
+    next_segment(n, 0.0, rng);
     // next_segment set a segment from the reference area; restart it from
     // the sampled start position instead.
-    segment_toward(*n, start, field_.clamp(reference_point(g, 0.0)), speed_,
+    segment_toward(n, start, field_.clamp(reference_point(g, 0.0)), speed_,
                    0.0);
   }
 }
@@ -125,17 +123,16 @@ void GroupMobility::next_segment(Node& node, sim::Time now, util::Rng& rng) {
 
 // --- StaticPlacement -------------------------------------------------------
 
-void StaticPlacement::initialize(std::vector<std::unique_ptr<Node>>& nodes,
-                                 util::Rng& rng) {
+void StaticPlacement::initialize(std::span<Node> nodes, util::Rng& rng) {
   if (!positions_.empty()) {
     assert(positions_.size() == nodes.size());
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      nodes[i]->set_motion(positions_[i], 0.0, {}, kForever);
+      nodes[i].set_motion(positions_[i], 0.0, {}, kForever);
     }
     return;
   }
-  for (auto& n : nodes) {
-    n->set_motion(rng.point_in(field_), 0.0, {}, kForever);
+  for (Node& n : nodes) {
+    n.set_motion(rng.point_in(field_), 0.0, {}, kForever);
   }
 }
 

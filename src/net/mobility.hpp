@@ -14,7 +14,7 @@
 /// current segment and is asked for the next one when the segment ends, so
 /// position lookup is O(1) with no per-tick updates.
 
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "net/node.hpp"
@@ -29,8 +29,7 @@ class MobilityModel {
   virtual ~MobilityModel() = default;
 
   /// Place every node and give it its first motion segment at time 0.
-  virtual void initialize(std::vector<std::unique_ptr<Node>>& nodes,
-                          util::Rng& rng) = 0;
+  virtual void initialize(std::span<Node> nodes, util::Rng& rng) = 0;
 
   /// A node's segment expired at `now`: give it the next one.
   virtual void next_segment(Node& node, sim::Time now, util::Rng& rng) = 0;
@@ -42,8 +41,7 @@ class RandomWaypoint final : public MobilityModel {
   RandomWaypoint(util::Rect field, double speed_mps, double pause_s = 0.0)
       : field_(field), speed_(speed_mps), pause_(pause_s) {}
 
-  void initialize(std::vector<std::unique_ptr<Node>>& nodes,
-                  util::Rng& rng) override;
+  void initialize(std::span<Node> nodes, util::Rng& rng) override;
   void next_segment(Node& node, sim::Time now, util::Rng& rng) override;
 
  private:
@@ -58,8 +56,7 @@ class GroupMobility final : public MobilityModel {
   GroupMobility(util::Rect field, double speed_mps, std::size_t groups,
                 double group_range_m);
 
-  void initialize(std::vector<std::unique_ptr<Node>>& nodes,
-                  util::Rng& rng) override;
+  void initialize(std::span<Node> nodes, util::Rng& rng) override;
   void next_segment(Node& node, sim::Time now, util::Rng& rng) override;
 
   [[nodiscard]] std::size_t groups() const { return refs_.size(); }
@@ -94,8 +91,7 @@ class StaticPlacement final : public MobilityModel {
   explicit StaticPlacement(std::vector<util::Vec2> positions)
       : positions_(std::move(positions)) {}
 
-  void initialize(std::vector<std::unique_ptr<Node>>& nodes,
-                  util::Rng& rng) override;
+  void initialize(std::span<Node> nodes, util::Rng& rng) override;
   void next_segment(Node& node, sim::Time now, util::Rng& rng) override;
 
  private:

@@ -96,9 +96,9 @@ Network::Network(sim::Simulator& simulator, NetworkConfig config,
   nodes_.reserve(config_.node_count);
   for (NodeId id = 0; id < config_.node_count; ++id) {
     const std::uint64_t mac_addr = 0x02'00'00'00'00'00ULL + id;
-    nodes_.push_back(std::make_unique<Node>(
-        id, mac_addr, crypto::generate_keypair(keygen,
-                                               config_.rsa_modulus_bits)));
+    nodes_.emplace_back(
+        id, mac_addr,
+        crypto::generate_keypair(keygen, config_.rsa_modulus_bits));
   }
   handlers_.assign(nodes_.size(), nullptr);
 
@@ -112,22 +112,22 @@ Network::Network(sim::Simulator& simulator, NetworkConfig config,
   }
 
   mobility_->initialize(nodes_, rng_);
-  for (auto& n : nodes_) {
-    rotate_pseudonym(*n);
-    if (grid_ != nullptr) index_segment(*n);
-    schedule_mobility(*n);
+  for (Node& n : nodes_) {
+    rotate_pseudonym(n);
+    if (grid_ != nullptr) index_segment(n);
+    schedule_mobility(n);
   }
 
   // Hello beaconing: desynchronized start within one period.
-  for (auto& n : nodes_) {
-    Node* node = n.get();
+  for (Node& n : nodes_) {
+    Node* node = &n;
     const double phase = rng_.uniform(0.0, config_.hello_period_s);
     sim_.schedule_periodic(phase, config_.hello_period_s,
                            [this, node] { send_hello(*node); });
   }
   // Pseudonym rotation.
-  for (auto& n : nodes_) {
-    Node* node = n.get();
+  for (Node& n : nodes_) {
+    Node* node = &n;
     const double phase = rng_.uniform(0.0, config_.pseudonym_period_s);
     sim_.schedule_periodic(phase, config_.pseudonym_period_s,
                            [this, node] { rotate_pseudonym(*node); });
@@ -140,20 +140,21 @@ template <typename Visit>
 std::size_t Network::for_each_in_range(util::Vec2 center, double radius,
                                        sim::Time t, Visit&& visit) const {
   // One exact filter for both paths: the grid only narrows the candidates,
-  // so it keeps exactly the ids the scan keeps. The unconditional add keeps
-  // the scan's match count branch-free.
+  // so it keeps exactly the ids the scan keeps. Handing `in_range` to the
+  // visitor, and adding it to the count, leaves the scan without a
+  // data-dependent branch for visitors that need none.
   const double r2 = radius * radius;
   std::size_t found = 0;
   const auto filter = [&](const Node& n) {
     const bool in_range = util::distance_sq(n.position(t), center) <= r2;
-    if (in_range) visit(n.id());
+    visit(n.id(), in_range);
     found += in_range ? 1 : 0;
   };
   if (grid_ != nullptr) {
     grid_->for_each_candidate(
-        center, radius, [&](std::uint32_t id) { filter(*nodes_[id]); });
+        center, radius, [&](std::uint32_t id) { filter(nodes_[id]); });
   } else {
-    for (const auto& n : nodes_) filter(*n);
+    for (const Node& n : nodes_) filter(n);
   }
   return found;
 }
@@ -161,8 +162,9 @@ std::size_t Network::for_each_in_range(util::Vec2 center, double radius,
 std::vector<NodeId> Network::nodes_within(util::Vec2 center, double radius,
                                           sim::Time t) const {
   std::vector<NodeId> out;
-  for_each_in_range(center, radius, t,
-                    [&out](NodeId id) { out.push_back(id); });
+  for_each_in_range(center, radius, t, [&out](NodeId id, bool in_range) {
+    if (in_range) out.push_back(id);
+  });
   // The grid visits in cell order; restore the scan's ascending ids.
   if (grid_ != nullptr) std::sort(out.begin(), out.end());
   return out;
@@ -171,7 +173,7 @@ std::vector<NodeId> Network::nodes_within(util::Vec2 center, double radius,
 std::size_t Network::neighbour_count(util::Vec2 center, double radius,
                                      sim::Time t) const {
   ALERT_OBS_TIMED(sim_.profiler(), query_scope_);
-  return for_each_in_range(center, radius, t, [](NodeId) {});
+  return for_each_in_range(center, radius, t, [](NodeId, bool) {});
 }
 
 std::size_t Network::gather_receivers(util::Vec2 center, double radius,
@@ -179,7 +181,14 @@ std::size_t Network::gather_receivers(util::Vec2 center, double radius,
   ALERT_OBS_TIMED(sim_.profiler(), query_scope_);
   NodeId* const first = delivery_ids_.data();
   NodeId* last = first;
-  for_each_in_range(center, radius, t, [&last](NodeId id) { *last++ = id; });
+  // Every visited id is written and kept only when in range. The write
+  // stays in bounds: the buffer holds node_count ids and the scan and the
+  // grid each visit an id at most once, so `last` never passes the slot of
+  // the node being visited.
+  for_each_in_range(center, radius, t, [&last](NodeId id, bool in_range) {
+    *last = id;
+    last += in_range;
+  });
   if (grid_ != nullptr) std::sort(first, last);
   return static_cast<std::size_t>(last - first);
 }
@@ -327,7 +336,7 @@ void Network::deliver_broadcast(NodeId sender, const Packet& pkt,
   for (std::size_t i = 0; i < receiver_count; ++i) {
     const NodeId id = delivery_ids_[i];
     if (id == sender) continue;
-    Node& receiver = *nodes_[id];
+    Node& receiver = nodes_[id];
     if (!receiver.alive()) continue;  // crashed radios hear nothing
     if (sender_jammed ||
         (any_outage && config_.faults.jammed(receiver.position(now), now)) ||
@@ -337,7 +346,7 @@ void Network::deliver_broadcast(NodeId sender, const Packet& pkt,
     }
     energy_.charge_rx(id, pkt.size_bytes);
     if (pkt.kind == PacketKind::Hello) {
-      const Node& s = *nodes_[sender];
+      const Node& s = nodes_[sender];
       receiver.observe_neighbor(
           NeighborInfo{pkt.src_pseudonym, s.position(now), s.public_key(),
                        now},
@@ -350,6 +359,10 @@ void Network::deliver_broadcast(NodeId sender, const Packet& pkt,
       continue;  // hellos are consumed by the neighbour layer
     }
     for (auto* l : listeners_) l->on_deliver(receiver, pkt, now);
+    // Covers end here, heard and charged but unread (Sec. 2.6): their TTL
+    // ciphertext is garbage no receiver's key unseals, and the cost model
+    // never charged the attempt, so no router needs to see them.
+    if (pkt.kind == PacketKind::Cover) continue;
     if (handlers_[id] != nullptr) handlers_[id]->handle(receiver, pkt);
   }
 }
@@ -366,8 +379,8 @@ void Network::deliver_unicast(NodeId sender, NodeId receiver, Pseudonym to,
   if (receiver == kInvalidNode) {
     lost = true;  // stale pseudonym: nobody owns this address any more
   } else {
-    Node& rx = *nodes_[receiver];
-    const util::Vec2 from_pos = nodes_[sender]->position(now);
+    Node& rx = nodes_[receiver];
+    const util::Vec2 from_pos = nodes_[sender].position(now);
     const util::Vec2 to_pos = rx.position(now);
     if (util::distance(from_pos, to_pos) > config_.radio_range_m) {
       lost = true;
@@ -384,7 +397,7 @@ void Network::deliver_unicast(NodeId sender, NodeId receiver, Pseudonym to,
   }
 
   if (!lost) {
-    Node& rx = *nodes_[receiver];
+    Node& rx = nodes_[receiver];
     energy_.charge_rx(receiver, pkt.size_bytes);
     if (config_.mac.arq.enabled) {
       // Link-layer ack: a short frame back to the sender, charged as air
@@ -404,7 +417,7 @@ void Network::deliver_unicast(NodeId sender, NodeId receiver, Pseudonym to,
     return;
   }
 
-  Node& tx = *nodes_[sender];
+  Node& tx = nodes_[sender];
   if (config_.mac.arq.enabled && tx.alive() &&
       attempt < config_.mac.arq.retry_limit) {
     // No ack within the timeout: binary-exponential backoff, then try
@@ -419,7 +432,7 @@ void Network::deliver_unicast(NodeId sender, NodeId receiver, Pseudonym to,
             static_cast<double>(1ULL << (attempt - 1)) *
             rng_.uniform(0.5, 1.5);
     sim_.schedule_in(wait, [this, sender, to, attempt, pkt] {
-      Node& from = *nodes_[sender];
+      Node& from = nodes_[sender];
       if (!from.alive()) {
         drop_and_notify(from, to, pkt, DropReason::NodeDown);
         return;

@@ -142,8 +142,8 @@ class Network {
 
   // --- topology access ---------------------------------------------------
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
-  [[nodiscard]] Node& node(NodeId id) { return *nodes_[id]; }
-  [[nodiscard]] const Node& node(NodeId id) const { return *nodes_[id]; }
+  [[nodiscard]] Node& node(NodeId id) { return nodes_[id]; }
+  [[nodiscard]] const Node& node(NodeId id) const { return nodes_[id]; }
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] sim::Time now() const { return sim_.now(); }
@@ -194,7 +194,7 @@ class Network {
   /// Flip one node's radio state (FaultInjector churn callback). Crashing
   /// clears the node's neighbour table; recovery lets hello beaconing
   /// repopulate it.
-  void set_node_alive(NodeId id, bool up) { nodes_[id]->set_alive(up); }
+  void set_node_alive(NodeId id, bool up) { nodes_[id].set_alive(up); }
 
   /// Whether this run can diverge from the ideal-channel baseline (any
   /// fault active or ARQ enabled). Gates failure callbacks and the
@@ -231,10 +231,11 @@ class Network {
   /// clipped to the simulation horizon (queries never look further).
   void index_segment(Node& node);
   /// The one range query behind nodes_within, neighbour_count and
-  /// gather_receivers: calls `visit(id)` for every node within `radius` of
-  /// `center` at `t` — in ascending id order on the scan, in cell order on
-  /// the grid — and returns how many it visited. Allocation-free on both
-  /// paths.
+  /// gather_receivers: calls `visit(id, in_range)` once for every node the
+  /// scan or the grid looks at — in ascending id order on the scan, in cell
+  /// order on the grid — where `in_range` says whether it lies within
+  /// `radius` of `center` at `t`, and returns how many were in range.
+  /// Allocation-free on both paths.
   template <typename Visit>
   std::size_t for_each_in_range(util::Vec2 center, double radius,
                                 sim::Time t, Visit&& visit) const;
@@ -277,7 +278,9 @@ class Network {
 
   Mac mac_;
   EnergyModel energy_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  /// Every node, contiguous so the range scan streams them. Reserved once
+  /// and never grown: hello, pseudonym and mobility events hold Node*.
+  std::vector<Node> nodes_;
   std::vector<PacketHandler*> handlers_;
   std::vector<TraceListener*> listeners_;
   std::unordered_map<Pseudonym, NodeId> pseudonym_registry_;

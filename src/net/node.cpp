@@ -6,7 +6,8 @@
 namespace alert::net {
 
 static_assert(sizeof(Node) <= 152,
-              "Node outgrew one 160-byte heap chunk; see its layout note");
+              "Node outgrew the range scan's 152-byte stride; see its "
+              "layout note");
 
 void Node::set_motion(util::Vec2 start_pos, sim::Time start_time,
                       util::Vec2 velocity, sim::Time end_time) {

@@ -56,6 +56,9 @@ core::ScenarioConfig macro_scenario(std::size_t node_count,
   core::ScenarioConfig config = campaign::paper_default_scenario();
   config.node_count = node_count;
   config.duration_s = duration_s;
+  // Campaign units always run profiled (campaign::execute_unit), so the
+  // gate times the same path, scope timers included.
+  config.obs.profile = true;
   return config;
 }
 

@@ -63,7 +63,8 @@ class QueryTopology {
 };
 
 /// The fig14a-style macro scenario at `node_count` nodes: the paper's
-/// Sec. 5.2 defaults with fig14a's x-axis pinned (200 = paper scale).
+/// Sec. 5.2 defaults with fig14a's x-axis pinned (200 = paper scale),
+/// profiled as every campaign unit is.
 [[nodiscard]] core::ScenarioConfig macro_scenario(std::size_t node_count,
                                                   double duration_s);
 

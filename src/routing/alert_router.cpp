@@ -208,7 +208,8 @@ void AlertRouter::transmit_with_camouflage(net::Node& source,
       cover.true_source = neighbor->id();
       cover.alert = net::AlertFields{};
       // Garbage TTL ciphertext: nobody can decrypt it to the magic tag, so
-      // every receiver drops the packet — the TTL=0 semantics of Sec. 2.6.
+      // every receiver drops the packet — the TTL=0 semantics of Sec. 2.6,
+      // which net::Network applies by handing covers to no router.
       cover.alert->ttl_enc = rng_.next() | 1;
       ++stats_.cover_packets;
       net_.broadcast(*neighbor, std::move(cover));
@@ -258,11 +259,6 @@ void AlertRouter::resend(std::uint32_t flow, std::uint32_t seq) {
 void AlertRouter::handle(net::Node& self, const net::Packet& pkt) {
   ALERT_OBS_TIMED(profiler_, handle_scope_);
   switch (pkt.kind) {
-    case net::PacketKind::Cover:
-      // Covers die here unread (Sec. 2.6). Their TTL is random garbage, so
-      // no receiver's key can unseal it, and the cost model never charged
-      // the attempt: running the RSA private op would change no output.
-      return;
     case net::PacketKind::Data:
     case net::PacketKind::Confirm:
     case net::PacketKind::Nak:
@@ -274,8 +270,8 @@ void AlertRouter::handle(net::Node& self, const net::Packet& pkt) {
 
   // First-hop TTL verification (Sec. 2.6): the source sealed the TTL under
   // our public key so this frame is indistinguishable from the cover
-  // traffic around it. A failed unseal means the frame was not for us —
-  // exactly how covers die — so we drop silently.
+  // traffic around it. A failed unseal means the frame was not for us, so
+  // we drop silently. (Covers never get here: the channel consumes them.)
   if (pkt.alert->ttl_enc) {
     const std::uint64_t v = crypto::rsa_decrypt_value(
         self.private_key(), *pkt.alert->ttl_enc % self.private_key().n());

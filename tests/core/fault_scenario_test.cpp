@@ -150,6 +150,18 @@ TEST(FaultScenarioDeathTest, RunOnceRejectsUselessArqBudget) {
               "invalid scenario");
 }
 
+TEST(FaultScenarioDeathTest, FlowsWithFewerThanTwoNodesAreRejected) {
+  // run_once would spin forever drawing a destination other than the
+  // source, so the rejection is checked through validate_scenario.
+  for (const std::size_t nodes : {std::size_t{0}, std::size_t{1}}) {
+    ScenarioConfig cfg;
+    cfg.node_count = nodes;
+    cfg.flow_count = 1;
+    EXPECT_EXIT(validate_scenario(cfg), ::testing::ExitedWithCode(2),
+                "invalid scenario: flows need at least two nodes");
+  }
+}
+
 TEST(FaultScenarioDeathTest, ValidateScenarioIsCallableUpFront) {
   ScenarioConfig cfg;
   cfg.faults.outages.push_back({{0.0, 0.0}, 10.0, 5.0, 1.0});  // end < start

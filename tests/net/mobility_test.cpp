@@ -2,19 +2,18 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <vector>
 
 #include "util/rng.hpp"
 
 namespace alert::net {
 namespace {
 
-std::vector<std::unique_ptr<Node>> make_nodes(std::size_t count) {
-  std::vector<std::unique_ptr<Node>> nodes;
+std::vector<Node> make_nodes(std::size_t count) {
+  std::vector<Node> nodes;
   util::Rng keys(1);
   for (NodeId id = 0; id < count; ++id) {
-    nodes.push_back(
-        std::make_unique<Node>(id, id, crypto::generate_keypair(keys)));
+    nodes.emplace_back(id, id, crypto::generate_keypair(keys));
   }
   return nodes;
 }
@@ -40,13 +39,13 @@ TEST_P(RwpSpeedSweep, NodesStayInFieldAndMoveAtConfiguredSpeed) {
   util::Rng rng(3);
   model.initialize(nodes, rng);
   for (auto& n : nodes) {
-    advance(model, *n, 500.0, rng);
+    advance(model, n, 500.0, rng);
     for (double t = 0.0; t <= 500.0; t += 25.0) {
-      EXPECT_TRUE(field.contains(n->position(t)))
-          << "t=" << t << " pos=" << n->position(t).x;
+      EXPECT_TRUE(field.contains(n.position(t)))
+          << "t=" << t << " pos=" << n.position(t).x;
     }
     if (speed > 0.0) {
-      EXPECT_NEAR(n->velocity().norm(), speed, 1e-9);
+      EXPECT_NEAR(n.velocity().norm(), speed, 1e-9);
     }
   }
 }
@@ -61,7 +60,7 @@ TEST(RandomWaypoint, ZeroSpeedNodesNeverMove) {
   util::Rng rng(4);
   model.initialize(nodes, rng);
   for (auto& n : nodes) {
-    EXPECT_EQ(n->position(0.0), n->position(1000.0));
+    EXPECT_EQ(n.position(0.0), n.position(1000.0));
   }
 }
 
@@ -71,7 +70,7 @@ TEST(RandomWaypoint, PauseHoldsPositionBetweenLegs) {
   auto nodes = make_nodes(1);
   util::Rng rng(5);
   model.initialize(nodes, rng);
-  Node& n = *nodes[0];
+  Node& n = nodes[0];
   // Finish the first leg; the next segment should be a pause.
   const double arrival = n.segment_end();
   model.next_segment(n, arrival, rng);
@@ -85,7 +84,7 @@ TEST(RandomWaypoint, TrajectoryIsContinuousAcrossSegments) {
   auto nodes = make_nodes(1);
   util::Rng rng(6);
   model.initialize(nodes, rng);
-  Node& n = *nodes[0];
+  Node& n = nodes[0];
   for (int i = 0; i < 20; ++i) {
     const double t_end = n.segment_end();
     const util::Vec2 before = n.position(t_end);
@@ -102,15 +101,15 @@ TEST(GroupMobility, MembersStayNearReferencePoint) {
   util::Rng rng(7);
   model.initialize(nodes, rng);
   for (auto& n : nodes) {
-    advance(model, *n, 100.0, rng);
+    advance(model, n, 100.0, rng);
   }
   // After motion settles, members should be within range + slack of their
   // reference point (slack covers the lookahead chase distance).
   std::size_t near = 0, total = 0;
   for (auto& n : nodes) {
-    const std::size_t g = n->id() % 10;
+    const std::size_t g = n.id() % 10;
     const double d =
-        util::distance(n->position(100.0), model.reference_point(g, 100.0));
+        util::distance(n.position(100.0), model.reference_point(g, 100.0));
     ++total;
     if (d <= range + 100.0) ++near;
   }
@@ -124,9 +123,9 @@ TEST(GroupMobility, NodesRemainInField) {
   util::Rng rng(8);
   model.initialize(nodes, rng);
   for (auto& n : nodes) {
-    advance(model, *n, 200.0, rng);
+    advance(model, n, 200.0, rng);
     for (double t = 0.0; t <= 200.0; t += 10.0) {
-      EXPECT_TRUE(field.contains(n->position(t)));
+      EXPECT_TRUE(field.contains(n.position(t)));
     }
   }
 }
@@ -144,8 +143,8 @@ TEST(GroupMobility, GroupsAreSpatiallyClustered) {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     for (std::size_t j = i + 1; j < nodes.size(); ++j) {
       const double d =
-          util::distance(nodes[i]->position(0.0), nodes[j]->position(0.0));
-      if (nodes[i]->id() % 5 == nodes[j]->id() % 5) {
+          util::distance(nodes[i].position(0.0), nodes[j].position(0.0));
+      if (nodes[i].id() % 5 == nodes[j].id() % 5) {
         intra += d;
         ++n_intra;
       } else {
@@ -163,8 +162,8 @@ TEST(StaticPlacement, ExactPositionsRespected) {
   auto nodes = make_nodes(2);
   util::Rng rng(10);
   model.initialize(nodes, rng);
-  EXPECT_EQ(nodes[0]->position(50.0), util::Vec2(1.0, 2.0));
-  EXPECT_EQ(nodes[1]->position(50.0), util::Vec2(3.0, 4.0));
+  EXPECT_EQ(nodes[0].position(50.0), util::Vec2(1.0, 2.0));
+  EXPECT_EQ(nodes[1].position(50.0), util::Vec2(3.0, 4.0));
 }
 
 TEST(StaticPlacement, RandomPlacementInField) {
@@ -174,8 +173,8 @@ TEST(StaticPlacement, RandomPlacementInField) {
   util::Rng rng(11);
   model.initialize(nodes, rng);
   for (auto& n : nodes) {
-    EXPECT_TRUE(field.contains(n->position(0.0)));
-    EXPECT_EQ(n->position(0.0), n->position(999.0));
+    EXPECT_TRUE(field.contains(n.position(0.0)));
+    EXPECT_EQ(n.position(0.0), n.position(999.0));
   }
 }
 

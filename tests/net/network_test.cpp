@@ -159,6 +159,41 @@ TEST(Network, BroadcastReachesAllInRangeExceptSender) {
   EXPECT_TRUE(r3.received.empty());  // 600 m away
 }
 
+TEST(Network, CoverFramesReachListenersNotHandlers) {
+  // A cover ends at the channel: every receiver in range hears it, pays its
+  // reception energy and shows it to the listeners, but no handler runs.
+  Fixture f({{0, 0}, {100, 0}, {200, 0}});
+  Recorder r1, r2;
+  CountingListener listener;
+  f.net->attach_handler(1, &r1);
+  f.net->attach_handler(2, &r2);
+  f.net->add_listener(&listener);
+  const double rx1 = f.net->energy().meter(1).rx_j;
+  const double rx2 = f.net->energy().meter(2).rx_j;
+  // The cover outweighs all else a receiver hears in this second (one
+  // hello per neighbour and the data frame), so only its own charge can
+  // account for the rx energy checked below.
+  Packet cover;
+  cover.kind = PacketKind::Cover;
+  cover.size_bytes = 4096;
+  f.net->broadcast(f.net->node(0), cover);
+  Packet data;
+  data.kind = PacketKind::Data;
+  data.size_bytes = 128;
+  f.net->broadcast(f.net->node(0), data);
+  f.simulator.run_until(1.0);
+  EXPECT_EQ(listener.transmits, 2);
+  EXPECT_EQ(listener.delivers, 4);  // both frames at both receivers
+  const double cover_j = static_cast<double>(cover.size_bytes) * 8.0 *
+                         f.net->energy().config().e_elec_j_per_bit;
+  EXPECT_GE(f.net->energy().meter(1).rx_j - rx1, cover_j);
+  EXPECT_GE(f.net->energy().meter(2).rx_j - rx2, cover_j);
+  for (const Recorder* r : {&r1, &r2}) {
+    ASSERT_EQ(r->received.size(), 1u);
+    EXPECT_EQ(r->received[0].second.kind, PacketKind::Data);
+  }
+}
+
 TEST(Network, TransmissionTimeScalesWithSize) {
   Fixture f({{0, 0}, {100, 0}});
   Recorder rec;
@@ -311,6 +346,87 @@ TEST(Network, SilentNeighbourExpiresAtFirstHelloPastMaxAge) {
     expired = expired || entry == nullptr;
   }
   EXPECT_TRUE(expired);
+}
+
+/// For every Data frame (tagged by its flow field), the nodes whose handler
+/// ran, in call order, and the brute-force in-range set when it landed.
+class InRangeOracle final : public PacketHandler {
+ public:
+  struct Frame {
+    NodeId sender = kInvalidNode;
+    util::Vec2 sender_pos;  ///< where the sender was when it broadcast
+    std::vector<NodeId> receivers;
+    std::vector<NodeId> expected;
+  };
+
+  explicit InRangeOracle(const Network& net) : net_(net) {}
+
+  void handle(Node& self, const Packet& pkt) override {
+    Frame& frame = frames.at(pkt.flow);
+    if (frame.receivers.empty()) {
+      // Positions are only valid within the current motion segment, so the
+      // oracle runs while the frame is being delivered.
+      const sim::Time now = net_.now();
+      const double r = net_.config().radio_range_m;
+      for (NodeId id = 0; id < net_.size(); ++id) {
+        if (id != frame.sender &&
+            util::distance_sq(net_.node(id).position(now),
+                              frame.sender_pos) <= r * r) {
+          frame.expected.push_back(id);
+        }
+      }
+    }
+    frame.receivers.push_back(self.id());
+  }
+
+  std::vector<Frame> frames;
+
+ private:
+  const Network& net_;
+};
+
+TEST(Network, MovingBroadcastReceiversMatchBruteForce) {
+  // Broadcast receivers must be exactly the nodes in range of the sender's
+  // emission point at the delivery time, in ascending id order, while
+  // every node moves — on the scan (1000 m field) and on the grid (1500 m).
+  for (const bool grid : {false, true}) {
+    SCOPED_TRACE(grid ? "grid" : "scan");
+    NetworkConfig cfg;
+    cfg.field = {0.0, 0.0, grid ? 1500.0 : 1000.0, grid ? 1500.0 : 1000.0};
+    cfg.node_count = grid ? 450 : 200;
+    ASSERT_EQ(Network::selects_grid(cfg.field, cfg.radio_range_m), grid);
+    sim::Simulator simulator;
+    Network net(simulator, cfg,
+                std::make_unique<RandomWaypoint>(cfg.field, 20.0),
+                util::Rng(31), /*horizon=*/30.0);
+    InRangeOracle oracle(net);
+    for (NodeId id = 0; id < net.size(); ++id) net.attach_handler(id, &oracle);
+    util::Rng draws(47);
+    constexpr std::uint32_t kFrames = 60;
+    oracle.frames.resize(kFrames);
+    for (std::uint32_t k = 0; k < kFrames; ++k) {
+      const auto sender = static_cast<NodeId>(draws.below(net.size()));
+      const sim::Time when = draws.uniform(0.0, 25.0);
+      simulator.schedule_at(when, [&net, &oracle, sender, k] {
+        InRangeOracle::Frame& frame = oracle.frames[k];
+        frame.sender = sender;
+        frame.sender_pos = net.node(sender).position(net.now());
+        Packet pkt;
+        pkt.kind = PacketKind::Data;
+        pkt.size_bytes = 256;
+        pkt.flow = k;
+        net.broadcast(net.node(sender), std::move(pkt));
+      });
+    }
+    simulator.run_until(30.0);
+    for (std::uint32_t k = 0; k < kFrames; ++k) {
+      const InRangeOracle::Frame& frame = oracle.frames[k];
+      // At paper density every frame has receivers; an unheard frame would
+      // leave its expected set unchecked.
+      ASSERT_FALSE(frame.receivers.empty()) << "frame " << k;
+      EXPECT_EQ(frame.receivers, frame.expected) << "frame " << k;
+    }
+  }
 }
 
 TEST(Network, FieldGeometrySelectsGridOrScan) {
