@@ -3,32 +3,33 @@
 /// command line and print the full metric set (optionally as a CSV row,
 /// for scripting sweeps beyond the registry's figure campaigns).
 ///
-///   alertsim_cli --protocol alert --nodes 200 --speed 2 --duration 100
-///                --flows 10 --h 5 --reps 10 [--attacks] [--csv]
-///                [--mobility rwp|group|static] [--groups 10]
-///                [--group-range 150] [--no-dest-update]
-///                [--countermeasure] [--seed 1]
-///                [--trace-out run.json] [--metrics-out manifest.json]
-///                [--log-level info] [--profile]
+///   alertsim_cli [--KEY VALUE ...] [--reps 10] [--threads N] [--csv]
+///                [--profile] [--trace-out run.json]
+///                [--metrics-out manifest.json] [--log-level info]
+///
+/// Every flag but the driver's own above is a canonical scenario key
+/// (core::canonical_scenario, the keys campaign specs take), e.g.
+///
+///   alertsim_cli --protocol gpsr --node_count 300 --speed_mps 4
+///                --mobility group --run_attacks --reps 10 --csv
+///
+/// An unknown flag or a value that does not parse exits 2.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
 
 #include "core/experiment.hpp"
+#include "core/scenario_codec.hpp"
 #include "obs/manifest.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
 
 namespace {
 
-alert::core::ProtocolKind parse_protocol(const std::string& name) {
-  using alert::core::ProtocolKind;
-  if (name == "gpsr") return ProtocolKind::Gpsr;
-  if (name == "alarm") return ProtocolKind::Alarm;
-  if (name == "ao2p") return ProtocolKind::Ao2p;
-  if (name == "zap") return ProtocolKind::Zap;
-  return ProtocolKind::Alert;
+int usage(const std::string& msg) {
+  std::fprintf(stderr, "alertsim_cli: %s\n", msg.c_str());
+  return 2;
 }
 
 }  // namespace
@@ -38,60 +39,41 @@ int main(int argc, char** argv) {
 
   std::string error;
   const auto parsed = util::CliArgs::parse(argc, argv, &error);
-  if (!parsed) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 2;
-  }
+  if (!parsed) return usage(error);
   const util::CliArgs& args = *parsed;
 
-  core::ScenarioConfig cfg;
-  cfg.protocol = parse_protocol(args.get("protocol", std::string("alert")));
-  cfg.node_count = static_cast<std::size_t>(args.get("nodes", std::int64_t{200}));
-  cfg.speed_mps = args.get("speed", 2.0);
-  cfg.duration_s = args.get("duration", 100.0);
-  cfg.flow_count = static_cast<std::size_t>(args.get("flows", std::int64_t{10}));
-  cfg.payload_bytes = static_cast<std::size_t>(args.get("payload", std::int64_t{512}));
-  cfg.packet_interval_s = args.get("interval", 2.0);
-  cfg.alert.partitions_h = static_cast<int>(args.get("h", std::int64_t{5}));
-  cfg.alert.intersection_countermeasure = args.get("countermeasure", false);
-  cfg.alert.notify_and_go = !args.get("no-notify", false);
-  cfg.destination_update = !args.get("no-dest-update", false);
-  cfg.run_attacks = args.get("attacks", false);
-  cfg.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
-  cfg.radio_range_m = args.get("range", 250.0);
-
-  // Shared observability flags (see util/cli.hpp): structured trace sink,
-  // run-manifest output, log threshold.
+  // The driver's own flags (see util/cli.hpp for the shared ones).
   const util::CommonFlags obs_flags = util::CommonFlags::from(args);
-  cfg.obs.trace_out = obs_flags.trace_out;
-  cfg.obs.profile = args.get("profile", false) || !obs_flags.metrics_out.empty();
+  const std::int64_t reps_flag = args.get("reps", std::int64_t{10});
+  const bool csv = args.get("csv", false);
+  const bool profile = args.get("profile", false);
+
+  // Everything else is one scenario key each.
+  core::ScenarioConfig cfg;
+  for (const std::string& key : args.unused()) {
+    const std::string value = args.get(key, std::string());
+    if (key == "reps" || key == "threads" || key == "csv" ||
+        key == "profile") {
+      return usage("bad value '" + value + "' for --" + key);
+    }
+    if (!core::apply_scenario_param(cfg, key, value, &error)) {
+      return usage(error);
+    }
+  }
+  if (reps_flag < 1 ||
+      static_cast<std::size_t>(reps_flag) > core::kMaxReplications) {
+    return usage("--reps must be in 1.." +
+                 std::to_string(core::kMaxReplications));
+  }
+  const auto reps = static_cast<std::size_t>(reps_flag);
+  if (obs_flags.threads < 0) return usage("--threads must be >= 0");
   if (const auto level = util::parse_log_level(obs_flags.log_level)) {
     util::set_log_level(*level);
   } else {
-    std::fprintf(stderr, "error: bad --log-level=%s\n",
-                 obs_flags.log_level.c_str());
-    return 2;
+    return usage("bad --log-level=" + obs_flags.log_level);
   }
-
-  const std::string mobility = args.get("mobility", std::string("rwp"));
-  if (mobility == "group") {
-    cfg.mobility = core::MobilityKind::Group;
-    cfg.group_count = static_cast<std::size_t>(args.get("groups", std::int64_t{10}));
-    cfg.group_range_m = args.get("group-range", 150.0);
-  } else if (mobility == "static") {
-    cfg.mobility = core::MobilityKind::Static;
-  }
-
-  const auto reps = static_cast<std::size_t>(args.get("reps", std::int64_t{10}));
-  const bool csv = args.get("csv", false);
-  if (obs_flags.threads < 0) {
-    std::fprintf(stderr, "error: --threads must be >= 0\n");
-    return 2;
-  }
-
-  for (const std::string& key : args.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s ignored\n", key.c_str());
-  }
+  cfg.obs.trace_out = obs_flags.trace_out;
+  cfg.obs.profile = profile || !obs_flags.metrics_out.empty();
 
   const core::ExperimentResult r = core::run_experiment(
       cfg, reps, static_cast<std::size_t>(obs_flags.threads));
@@ -103,11 +85,15 @@ int main(int argc, char** argv) {
                      core::protocol_name(cfg.protocol);
     manifest.seed = cfg.seed;
     manifest.replications = reps;
-    manifest.add_param("protocol", core::protocol_name(cfg.protocol));
-    manifest.add_param("node_count", std::to_string(cfg.node_count));
-    manifest.add_param("speed_mps", std::to_string(cfg.speed_mps));
-    manifest.add_param("duration_s", std::to_string(cfg.duration_s));
-    manifest.add_param("flow_count", std::to_string(cfg.flow_count));
+    // The scenario's canonical pairs: the manifest names the whole config.
+    const std::string dump = core::canonical_scenario(cfg);
+    for (std::string_view rest = dump; !rest.empty();) {
+      const std::string_view line = rest.substr(0, rest.find('\n'));
+      const std::size_t eq = line.find('=');
+      manifest.add_param(std::string(line.substr(0, eq)),
+                         std::string(line.substr(eq + 1)));
+      rest.remove_prefix(line.size() + 1);
+    }
     manifest.trace_digests = r.trace_digests;
     manifest.metrics = r.metrics;
     manifest.profile = r.profile;

@@ -50,6 +50,11 @@ bool write_manifest_atomic(const obs::RunManifest& manifest,
 
 UnitGrid expand_units(const CampaignSpec& spec, std::size_t reps_option,
                       bool trace_first) {
+  // Every point is checked here, on the calling thread, before any unit
+  // exists: an invalid one exits 2 with one message, never one per worker.
+  for (const PointSpec& point : spec.points) {
+    core::validate_scenario(point.config);
+  }
   UnitGrid grid;
   grid.reps = reps_option > 0 ? reps_option
                               : core::bench_replications(spec.fallback_reps);
@@ -99,7 +104,7 @@ obs::RunManifest assemble_manifest(const CampaignSpec& spec,
               pr.result.trace_digests.end());
   }
 
-  // --- assemble the manifest (mirrors bench::Figure) ----------------------
+  // --- assemble the manifest ---------------------------------------------
   obs::RunManifest manifest;
   manifest.name = spec.name;
   manifest.title = spec.title;

@@ -100,7 +100,8 @@ struct UnitGrid {
 };
 
 /// Expand the spec's points into work units. `reps_option` as in
-/// CampaignOptions::reps; `trace_first` marks unit (0, 0) traced.
+/// CampaignOptions::reps; `trace_first` marks unit (0, 0) traced. Every
+/// point passes core::validate_scenario first (exit 2 on the first bad one).
 [[nodiscard]] UnitGrid expand_units(const CampaignSpec& spec,
                                     std::size_t reps_option,
                                     bool trace_first = false);

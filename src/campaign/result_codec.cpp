@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -60,46 +61,83 @@ bool parse_metric_kind(std::string_view name, obs::MetricKind* out) {
   return false;
 }
 
+/// RunResult's scalar and per-index fields in cache-entry order: one list
+/// drives both the writer and the parser. A missing scalar reads as 0 (the
+/// RunResult default); a missing array fails the entry.
+struct ResultField {
+  const char* key;
+  std::variant<std::uint64_t core::RunResult::*, double core::RunResult::*,
+               std::vector<double> core::RunResult::*>
+      member;
+};
+
+constexpr ResultField kResultFields[] = {
+    {"sent", &core::RunResult::sent},
+    {"delivered", &core::RunResult::delivered},
+    {"mean_latency_s", &core::RunResult::mean_latency_s},
+    {"mean_e2e_delay_s", &core::RunResult::mean_e2e_delay_s},
+    {"mean_hops", &core::RunResult::mean_hops},
+    {"mean_participants", &core::RunResult::mean_participants},
+    {"mean_route_overlap", &core::RunResult::mean_route_overlap},
+    {"rf_per_packet", &core::RunResult::rf_per_packet},
+    {"partitions_per_packet", &core::RunResult::partitions_per_packet},
+    {"control_hops_per_packet", &core::RunResult::control_hops_per_packet},
+    {"cumulative_participants", &core::RunResult::cumulative_participants},
+    {"remaining_by_sample", &core::RunResult::remaining_by_sample},
+    {"cover_packets_per_data", &core::RunResult::cover_packets_per_data},
+    {"timing_source_rate", &core::RunResult::timing_source_rate},
+    {"timing_dest_rate", &core::RunResult::timing_dest_rate},
+    {"intersection_success", &core::RunResult::intersection_success},
+    {"intersection_identified", &core::RunResult::intersection_identified},
+    {"intersection_frequency", &core::RunResult::intersection_frequency},
+    {"compromise_targeted", &core::RunResult::compromise_targeted},
+    {"compromise_blocked", &core::RunResult::compromise_blocked},
+    {"location_update_messages", &core::RunResult::location_update_messages},
+    {"hello_messages", &core::RunResult::hello_messages},
+    {"energy_total_j", &core::RunResult::energy_total_j},
+    {"energy_crypto_j", &core::RunResult::energy_crypto_j},
+    {"energy_per_delivered_j", &core::RunResult::energy_per_delivered_j},
+    {"energy_max_node_j", &core::RunResult::energy_max_node_j},
+    {"trace_digest", &core::RunResult::trace_digest},
+    {"events_executed", &core::RunResult::events_executed},
+    {"packets_opened", &core::RunResult::packets_opened},
+    {"packets_expired", &core::RunResult::packets_expired},
+};
+
+void write_field(obs::JsonWriter& w, const char* key, std::uint64_t v) {
+  w.field(key, v);
+}
+void write_field(obs::JsonWriter& w, const char* key, double v) {
+  w.field(key, v);
+}
+void write_field(obs::JsonWriter& w, const char* key,
+                 const std::vector<double>& v) {
+  w.key(key);
+  write_double_array(w, v);
+}
+
+bool parse_field(const obs::JsonValue* v, std::uint64_t* out) {
+  if (v != nullptr) *out = v->as_u64();
+  return true;
+}
+bool parse_field(const obs::JsonValue* v, double* out) {
+  if (v != nullptr) *out = v->as_double();
+  return true;
+}
+bool parse_field(const obs::JsonValue* v, std::vector<double>* out) {
+  return parse_double_array(v, out);
+}
+
 }  // namespace
 
 void write_run_result_json(std::ostream& out, const core::RunResult& run) {
   obs::JsonWriter w(out);
   w.begin_object();
   w.field("schema", kResultCacheSchema);
-  w.field("sent", run.sent);
-  w.field("delivered", run.delivered);
-  w.field("mean_latency_s", run.mean_latency_s);
-  w.field("mean_e2e_delay_s", run.mean_e2e_delay_s);
-  w.field("mean_hops", run.mean_hops);
-  w.field("mean_participants", run.mean_participants);
-  w.field("mean_route_overlap", run.mean_route_overlap);
-  w.field("rf_per_packet", run.rf_per_packet);
-  w.field("partitions_per_packet", run.partitions_per_packet);
-  w.field("control_hops_per_packet", run.control_hops_per_packet);
-  w.key("cumulative_participants");
-  write_double_array(w, run.cumulative_participants);
-  w.key("remaining_by_sample");
-  write_double_array(w, run.remaining_by_sample);
-  w.field("cover_packets_per_data", run.cover_packets_per_data);
-  w.field("timing_source_rate", run.timing_source_rate);
-  w.field("timing_dest_rate", run.timing_dest_rate);
-  w.field("intersection_success", run.intersection_success);
-  w.field("intersection_identified", run.intersection_identified);
-  w.field("intersection_frequency", run.intersection_frequency);
-  w.key("compromise_targeted");
-  write_double_array(w, run.compromise_targeted);
-  w.key("compromise_blocked");
-  write_double_array(w, run.compromise_blocked);
-  w.field("location_update_messages", run.location_update_messages);
-  w.field("hello_messages", run.hello_messages);
-  w.field("energy_total_j", run.energy_total_j);
-  w.field("energy_crypto_j", run.energy_crypto_j);
-  w.field("energy_per_delivered_j", run.energy_per_delivered_j);
-  w.field("energy_max_node_j", run.energy_max_node_j);
-  w.field("trace_digest", run.trace_digest);
-  w.field("events_executed", run.events_executed);
-  w.field("packets_opened", run.packets_opened);
-  w.field("packets_expired", run.packets_expired);
+  for (const ResultField& f : kResultFields) {
+    std::visit([&](auto member) { write_field(w, f.key, run.*member); },
+               f.member);
+  }
 
   w.key("metrics");
   w.begin_object();
@@ -165,50 +203,14 @@ std::optional<core::RunResult> parse_run_result(std::string_view json,
   }
 
   core::RunResult run;
-  const auto u64 = [&doc](const char* key) {
-    const obs::JsonValue* v = doc->find(key);
-    return v != nullptr ? v->as_u64() : 0;
-  };
-  const auto dbl = [&doc](const char* key) {
-    const obs::JsonValue* v = doc->find(key);
-    return v != nullptr ? v->as_double() : 0.0;
-  };
-  run.sent = u64("sent");
-  run.delivered = u64("delivered");
-  run.mean_latency_s = dbl("mean_latency_s");
-  run.mean_e2e_delay_s = dbl("mean_e2e_delay_s");
-  run.mean_hops = dbl("mean_hops");
-  run.mean_participants = dbl("mean_participants");
-  run.mean_route_overlap = dbl("mean_route_overlap");
-  run.rf_per_packet = dbl("rf_per_packet");
-  run.partitions_per_packet = dbl("partitions_per_packet");
-  run.control_hops_per_packet = dbl("control_hops_per_packet");
-  if (!parse_double_array(doc->find("cumulative_participants"),
-                          &run.cumulative_participants) ||
-      !parse_double_array(doc->find("remaining_by_sample"),
-                          &run.remaining_by_sample) ||
-      !parse_double_array(doc->find("compromise_targeted"),
-                          &run.compromise_targeted) ||
-      !parse_double_array(doc->find("compromise_blocked"),
-                          &run.compromise_blocked)) {
-    return fail("cache entry missing a per-packet/per-budget array");
+  for (const ResultField& f : kResultFields) {
+    const bool ok = std::visit(
+        [&](auto member) {
+          return parse_field(doc->find(f.key), &(run.*member));
+        },
+        f.member);
+    if (!ok) return fail("cache entry missing a per-packet/per-budget array");
   }
-  run.cover_packets_per_data = dbl("cover_packets_per_data");
-  run.timing_source_rate = dbl("timing_source_rate");
-  run.timing_dest_rate = dbl("timing_dest_rate");
-  run.intersection_success = dbl("intersection_success");
-  run.intersection_identified = dbl("intersection_identified");
-  run.intersection_frequency = dbl("intersection_frequency");
-  run.location_update_messages = u64("location_update_messages");
-  run.hello_messages = u64("hello_messages");
-  run.energy_total_j = dbl("energy_total_j");
-  run.energy_crypto_j = dbl("energy_crypto_j");
-  run.energy_per_delivered_j = dbl("energy_per_delivered_j");
-  run.energy_max_node_j = dbl("energy_max_node_j");
-  run.trace_digest = u64("trace_digest");
-  run.events_executed = u64("events_executed");
-  run.packets_opened = u64("packets_opened");
-  run.packets_expired = u64("packets_expired");
 
   const obs::JsonValue* metrics = doc->find("metrics");
   if (metrics == nullptr || !metrics->is_object()) {

@@ -121,7 +121,7 @@ inline constexpr const char* kSpecSchema = "alertsim-campaign-spec/1";
 [[nodiscard]] std::optional<CampaignSpec> load_spec_json(
     std::string_view json, std::string* error = nullptr);
 
-/// Read and parse a spec file.
+/// Read and parse a spec file. Every error message names the path once.
 [[nodiscard]] std::optional<CampaignSpec> load_spec_file(
     const std::string& path, std::string* error = nullptr);
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <queue>
 #include <unordered_set>
+#include <utility>
 
 #include "attack/compromise.hpp"
 #include "attack/observer.hpp"
@@ -150,6 +151,20 @@ std::vector<int> disk_components(const net::Network& network, sim::Time t) {
 
 void validate_scenario(const ScenarioConfig& config) {
   std::optional<std::string> err = faults::validate(config.faults);
+  // Each period paces a recurring process (hellos, pseudonym rotation, CBR
+  // packets, location pushes and server sync, residency samples); one that
+  // is not positive never advances simulated time.
+  const std::pair<const char*, double> periods[] = {
+      {"hello_period_s", config.hello_period_s},
+      {"pseudonym_period_s", config.pseudonym_period_s},
+      {"packet_interval_s", config.packet_interval_s},
+      {"location.update_period_s", config.location.update_period_s},
+      {"location.replication_period_s",
+       config.location.replication_period_s},
+      {"residency_sample_period_s", config.residency_sample_period_s}};
+  for (const auto& [key, period] : periods) {
+    if (!err && !(period > 0.0)) err = std::string(key) + " must be > 0";
+  }
   if (!err && config.flow_count > 0 && config.node_count < 2) {
     // A flow needs a destination other than its source; with fewer than
     // two nodes the pair draw in run_once could never find one.
@@ -373,8 +388,6 @@ RunResult run_once(const ScenarioConfig& config,
   for (std::size_t s = 0; s < max_len; ++s) {
     double sum = 0.0;
     std::size_t n = 0;
-    // Index-ordered so the digest does not depend on how the samples are
-    // traversed — the PDES backend may shard this reduction.
     for (std::size_t r = 0; r < residency_samples.size(); ++r) {
       const auto& v = residency_samples[r];
       if (s < v.size()) {

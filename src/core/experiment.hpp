@@ -108,11 +108,13 @@ struct ExperimentResult {
 /// Reject unusable scenarios before any simulation runs: a fault plan with
 /// a loss probability outside [0,1] or negative MTTF/MTTR, or ARQ enabled
 /// with a non-positive retry budget / negative timings, silently produces
-/// garbage curves, and flows over fewer than two nodes would never find a
-/// destination. The message goes to stderr and the process exits with
-/// status 2 — the same hard-error contract as a malformed ALERTSIM_REPS.
-/// run_once calls this on every replication; harnesses building many
-/// scenarios can call it early to fail before spending any simulation time.
+/// garbage curves; flows over fewer than two nodes would never find a
+/// destination; and a non-positive period (hellos, pseudonyms, packets,
+/// location updates/replication, residency samples) never advances. The
+/// message goes to stderr and the process exits with status 2 — the same
+/// hard-error contract as a malformed ALERTSIM_REPS. run_once calls this on
+/// every replication; campaign::expand_units calls it once per point on
+/// the calling thread, before any unit is scheduled.
 void validate_scenario(const ScenarioConfig& config);
 
 /// Run one replication with the given seed offset (deterministic).

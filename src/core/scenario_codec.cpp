@@ -2,266 +2,285 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <map>
-#include <utility>
+#include <charconv>
+#include <concepts>
+#include <iterator>
 
 #include "crypto/sha1.hpp"
+#include "util/parse.hpp"
 
 namespace alert::core {
 
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+// --- value codecs ------------------------------------------------------------
+// render() appends a field's canonical text; parse() reads it back, so a
+// dump line applied through apply_scenario_param() restores the field
+// exactly. A failed parse leaves the field untouched.
+
+void render(double v, std::string& out) {
+  // Byte-identical to printf's "%.17g" (full round-trip precision).
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general, 17)
+                      .ptr);
 }
 
-std::string fmt_bool(bool b) { return b ? "true" : "false"; }
-
-bool parse_double_strict(std::string_view s, double* out) {
-  if (s.empty()) return false;
-  const std::string copy(s);
-  char* end = nullptr;
-  const double v = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) return false;
-  *out = v;
-  return true;
+template <std::integral T>
+void render(T v, std::string& out) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
-bool parse_u64_strict(std::string_view s, std::uint64_t* out) {
-  if (s.empty() || s[0] == '-') return false;
-  const std::string copy(s);
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(copy.c_str(), &end, 10);
-  if (end != copy.c_str() + copy.size()) return false;
-  *out = v;
-  return true;
-}
+void render(bool v, std::string& out) { out += v ? "true" : "false"; }
+void render(MobilityKind v, std::string& out) { out += mobility_name(v); }
+void render(ProtocolKind v, std::string& out) { out += protocol_name(v); }
 
-bool parse_size_strict(std::string_view s, std::size_t* out) {
-  std::uint64_t v = 0;
-  if (!parse_u64_strict(s, &v)) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool parse_int_strict(std::string_view s, int* out) {
-  if (s.empty()) return false;
-  const std::string copy(s);
-  char* end = nullptr;
-  const long v = std::strtol(copy.c_str(), &end, 10);
-  if (end != copy.c_str() + copy.size()) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_bool_strict(std::string_view s, bool* out) {
-  if (s == "true" || s == "1" || s == "yes" || s == "on") {
-    *out = true;
-    return true;
+void render(const std::optional<double>& v, std::string& out) {
+  if (v) {
+    render(*v, out);
+  } else {
+    out += "none";
   }
-  if (s == "false" || s == "0" || s == "no" || s == "off") {
-    *out = false;
-    return true;
-  }
-  return false;
 }
 
-/// Outage list codec: "x:y:radius:start:end" discs joined by ';' (empty
-/// string = no outages). The canonical dump uses the same rendering, so a
-/// round-trip through apply_scenario_param is exact.
-std::string format_outages(const std::vector<faults::Outage>& outages) {
-  std::string out;
-  for (const faults::Outage& o : outages) {
-    if (!out.empty()) out += ';';
-    out += fmt_double(o.center.x) + ':' + fmt_double(o.center.y) + ':' +
-           fmt_double(o.radius_m) + ':' + fmt_double(o.start_s) + ':' +
-           fmt_double(o.end_s);
-  }
-  return out;
-}
-
-bool parse_outages(std::string_view s, std::vector<faults::Outage>* out) {
-  out->clear();
-  if (s.empty()) return true;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t semi = std::min(s.find(';', pos), s.size());
-    const std::string_view disc = s.substr(pos, semi - pos);
-    if (std::count(disc.begin(), disc.end(), ':') != 4) {
-      return false;  // exactly x:y:radius:start:end — no extra fields
+/// Outage list: "x:y:radius:start:end" discs joined by ';' (empty = none).
+void render(const std::vector<faults::Outage>& outages, std::string& out) {
+  for (std::size_t i = 0; i < outages.size(); ++i) {
+    const faults::Outage& o = outages[i];
+    if (i > 0) out += ';';
+    for (const double v : {o.center.x, o.center.y, o.radius_m, o.start_s}) {
+      render(v, out);
+      out += ':';
     }
-    double vals[5];
-    std::size_t field = 0, at = 0;
-    while (field < 5) {
-      const std::size_t colon = std::min(disc.find(':', at), disc.size());
-      if (!parse_double_strict(disc.substr(at, colon - at), &vals[field])) {
+    render(o.end_s, out);
+  }
+}
+
+/// Compromise budgets: joined by ',' (empty = none).
+void render(const std::vector<std::size_t>& budgets, std::string& out) {
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    if (i > 0) out += ',';
+    render(budgets[i], out);
+  }
+}
+
+template <typename T>
+  requires(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>)
+bool parse(std::string_view s, T* out) {
+  return util::parse_number(s, out);
+}
+
+bool parse(std::string_view s, bool* out) { return util::parse_bool(s, out); }
+
+bool parse(std::string_view s, MobilityKind* out) {
+  const auto kind = parse_mobility_kind(s);
+  if (kind) *out = *kind;
+  return kind.has_value();
+}
+
+bool parse(std::string_view s, ProtocolKind* out) {
+  const auto kind = parse_protocol_kind(s);
+  if (kind) *out = *kind;
+  return kind.has_value();
+}
+
+bool parse(std::string_view s, std::optional<double>* out) {
+  double v = 0.0;
+  if (s == "none") {
+    out->reset();
+  } else if (parse(s, &v)) {
+    *out = v;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// Split `s` on `sep` and parse every piece (empty `s` = empty list; an
+/// empty piece, as a trailing `sep` leaves, fails). All or nothing.
+template <typename T, typename ParseItem>
+bool parse_list(std::string_view s, char sep, std::vector<T>* out,
+                ParseItem parse_item) {
+  std::vector<T> items;
+  while (!s.empty()) {
+    const std::size_t cut = s.find(sep);
+    T item{};
+    if (!parse_item(s.substr(0, cut), &item)) return false;
+    items.push_back(item);
+    if (cut == std::string_view::npos) break;
+    s.remove_prefix(cut + 1);
+    if (s.empty()) return false;
+  }
+  *out = std::move(items);
+  return true;
+}
+
+bool parse(std::string_view s, std::vector<faults::Outage>* out) {
+  return parse_list(s, ';', out, [](std::string_view disc,
+                                    faults::Outage* o) {
+    double* const fields[] = {&o->center.x, &o->center.y, &o->radius_m,
+                              &o->start_s, &o->end_s};
+    for (double* field : fields) {
+      // Exactly five fields: the last ends the disc, the others a ':'.
+      const std::size_t colon = disc.find(':');
+      if ((colon == std::string_view::npos) != (field == fields[4])) {
         return false;
       }
-      ++field;
-      if (colon == disc.size()) break;
-      at = colon + 1;
+      if (!parse(disc.substr(0, colon), field)) return false;
+      if (colon != std::string_view::npos) disc.remove_prefix(colon + 1);
     }
-    if (field != 5) return false;
-    out->push_back(faults::Outage{{vals[0], vals[1]}, vals[2], vals[3],
-                                  vals[4]});
-    if (semi == s.size()) break;
-    pos = semi + 1;
-  }
-  return true;
+    return true;
+  });
 }
 
-/// One sweepable parameter: how to set it from a string.
-using Setter =
-    std::function<bool(ScenarioConfig&, std::string_view value)>;
+bool parse(std::string_view s, std::vector<std::size_t>* out) {
+  return parse_list(s, ',', out, [](std::string_view item, std::size_t* v) {
+    return parse(item, v);
+  });
+}
 
-const std::map<std::string, Setter, std::less<>>& setters() {
-  static const std::map<std::string, Setter, std::less<>> kSetters = [] {
-    std::map<std::string, Setter, std::less<>> m;
-    const auto size_field = [&m](const char* key, std::size_t ScenarioConfig::* f) {
-      m[key] = [f](ScenarioConfig& c, std::string_view v) {
-        return parse_size_strict(v, &(c.*f));
-      };
-    };
-    const auto double_field = [&m](const char* key, double ScenarioConfig::* f) {
-      m[key] = [f](ScenarioConfig& c, std::string_view v) {
-        return parse_double_strict(v, &(c.*f));
-      };
-    };
-    const auto bool_field = [&m](const char* key, bool ScenarioConfig::* f) {
-      m[key] = [f](ScenarioConfig& c, std::string_view v) {
-        return parse_bool_strict(v, &(c.*f));
-      };
-    };
+// --- the knob table ----------------------------------------------------------
 
-    size_field("node_count", &ScenarioConfig::node_count);
-    size_field("flow_count", &ScenarioConfig::flow_count);
-    size_field("payload_bytes", &ScenarioConfig::payload_bytes);
-    size_field("packets_per_flow", &ScenarioConfig::packets_per_flow);
-    size_field("group_count", &ScenarioConfig::group_count);
-    double_field("speed_mps", &ScenarioConfig::speed_mps);
-    double_field("radio_range_m", &ScenarioConfig::radio_range_m);
-    double_field("packet_interval_s", &ScenarioConfig::packet_interval_s);
-    double_field("duration_s", &ScenarioConfig::duration_s);
-    double_field("traffic_start_s", &ScenarioConfig::traffic_start_s);
-    double_field("min_pair_distance_m", &ScenarioConfig::min_pair_distance_m);
-    double_field("max_pair_distance_m", &ScenarioConfig::max_pair_distance_m);
-    double_field("group_range_m", &ScenarioConfig::group_range_m);
-    double_field("hello_period_s", &ScenarioConfig::hello_period_s);
-    double_field("pseudonym_period_s", &ScenarioConfig::pseudonym_period_s);
-    double_field("residency_sample_period_s",
-                 &ScenarioConfig::residency_sample_period_s);
-    bool_field("destination_update", &ScenarioConfig::destination_update);
-    bool_field("run_attacks", &ScenarioConfig::run_attacks);
+/// One canonical scenario key: renders its field into the dump and parses
+/// it back from a string.
+struct Knob {
+  std::string_view key;
+  void (*render)(const ScenarioConfig&, std::string&);
+  bool (*parse)(std::string_view, ScenarioConfig&);
+};
 
-    m["seed"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_u64_strict(v, &c.seed);
-    };
-    m["protocol"] = [](ScenarioConfig& c, std::string_view v) {
-      const auto kind = parse_protocol_kind(v);
-      if (!kind) return false;
-      c.protocol = *kind;
-      return true;
-    };
-    m["mobility"] = [](ScenarioConfig& c, std::string_view v) {
-      const auto kind = parse_mobility_kind(v);
-      if (!kind) return false;
-      c.mobility = *kind;
-      return true;
-    };
-    m["location.server_count"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_size_strict(v, &c.location.server_count);
-    };
-    m["location.update_period_s"] = [](ScenarioConfig& c,
-                                       std::string_view v) {
-      return parse_double_strict(v, &c.location.update_period_s);
-    };
-    m["alert.partitions_h"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_int_strict(v, &c.alert.partitions_h);
-    };
-    // Alias used by the run-manifest params block and the paper's prose.
-    m["partitions_h"] = m["alert.partitions_h"];
-    m["alert.max_retransmissions"] = [](ScenarioConfig& c,
-                                        std::string_view v) {
-      return parse_int_strict(v, &c.alert.max_retransmissions);
-    };
-    m["alert.notify_and_go"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_bool_strict(v, &c.alert.notify_and_go);
-    };
-    m["alert.notify_t0_s"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_double_strict(v, &c.alert.notify_t0_s);
-    };
-    m["alert.intersection_countermeasure"] = [](ScenarioConfig& c,
-                                                std::string_view v) {
-      return parse_bool_strict(v, &c.alert.intersection_countermeasure);
-    };
-    m["gpsr.use_perimeter"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_bool_strict(v, &c.gpsr.use_perimeter);
-    };
-    m["alarm.dissemination_period_s"] = [](ScenarioConfig& c,
-                                           std::string_view v) {
-      return parse_double_strict(v, &c.alarm.dissemination_period_s);
-    };
-    m["zap.zone_side_m"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_double_strict(v, &c.zap.zone_side_m);
-    };
+/// The row for the field `Get` selects (a captureless `[](auto& c) ->
+/// auto& { return c.<field>; }`, written by ALERT_KNOB below); the field's
+/// type picks the codec.
+template <typename Get>
+constexpr Knob knob(std::string_view key, Get /*field*/) {
+  return {key,
+          [](const ScenarioConfig& c, std::string& out) {
+            render(Get{}(c), out);
+          },
+          [](std::string_view v, ScenarioConfig& c) {
+            return parse(v, &Get{}(c));
+          }};
+}
 
-    // Fault injection (src/faults) and link-layer ARQ. These keys are
-    // sweepable like any other, but only appear in the canonical dump when
-    // the plan is active (see canonical_scenario).
-    m["faults.loss.iid"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_double_strict(v, &c.faults.loss.iid);
-    };
-    m["faults.loss.gilbert"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_bool_strict(v, &c.faults.loss.gilbert);
-    };
-    m["faults.loss.ge_p_good_bad"] = [](ScenarioConfig& c,
-                                        std::string_view v) {
-      return parse_double_strict(v, &c.faults.loss.ge_p_good_bad);
-    };
-    m["faults.loss.ge_p_bad_good"] = [](ScenarioConfig& c,
-                                        std::string_view v) {
-      return parse_double_strict(v, &c.faults.loss.ge_p_bad_good);
-    };
-    m["faults.loss.ge_loss_good"] = [](ScenarioConfig& c,
-                                       std::string_view v) {
-      return parse_double_strict(v, &c.faults.loss.ge_loss_good);
-    };
-    m["faults.loss.ge_loss_bad"] = [](ScenarioConfig& c,
-                                      std::string_view v) {
-      return parse_double_strict(v, &c.faults.loss.ge_loss_bad);
-    };
-    m["faults.churn.mttf_s"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_double_strict(v, &c.faults.churn.mttf_s);
-    };
-    m["faults.churn.mttr_s"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_double_strict(v, &c.faults.churn.mttr_s);
-    };
-    m["faults.outages"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_outages(v, &c.faults.outages);
-    };
-    m["mac.arq.enabled"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_bool_strict(v, &c.mac.arq.enabled);
-    };
-    m["mac.arq.retry_limit"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_int_strict(v, &c.mac.arq.retry_limit);
-    };
-    m["mac.arq.ack_timeout_s"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_double_strict(v, &c.mac.arq.ack_timeout_s);
-    };
-    m["mac.arq.backoff_base_s"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_double_strict(v, &c.mac.arq.backoff_base_s);
-    };
-    m["mac.arq.ack_bytes"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_size_strict(v, &c.mac.arq.ack_bytes);
-    };
-    return m;
-  }();
-  return kSetters;
+// A row keyed by its field's path in ScenarioConfig, or by `key` where the
+// two differ.
+#define ALERT_KNOB_AS(key, path) \
+  knob(key, [](auto& c) -> auto& { return c.path; })
+#define ALERT_KNOB(path) ALERT_KNOB_AS(#path, path)
+
+// Every semantic ScenarioConfig field has exactly one row here, in sorted
+// key order (the dump's order; a static_assert below checks it). A new
+// field gets a row, and kSimulationEpoch is bumped if its default changes
+// what existing configs compute. Observability options (ScenarioConfig::obs)
+// have none: they never change a replication's results.
+constexpr Knob kKnobs[] = {
+    ALERT_KNOB(alarm.dissemination_period_s),
+    ALERT_KNOB(alarm.max_hops),
+    ALERT_KNOB(alarm.per_hop_processing_s),
+    ALERT_KNOB(alert.bitmap_flips),
+    ALERT_KNOB(alert.confirm_timeout_s),
+    ALERT_KNOB(alert.countermeasure_m),
+    ALERT_KNOB(alert.cover_bytes),
+    ALERT_KNOB(alert.intersection_countermeasure),
+    ALERT_KNOB(alert.k_anonymity),
+    ALERT_KNOB(alert.max_hops),
+    ALERT_KNOB(alert.max_retransmissions),
+    ALERT_KNOB(alert.notify_and_go),
+    ALERT_KNOB(alert.notify_t0_s),
+    ALERT_KNOB(alert.notify_t_s),
+    ALERT_KNOB(alert.partitions_h),
+    ALERT_KNOB(alert.per_hop_processing_s),
+    ALERT_KNOB(alert.send_confirmation),
+    ALERT_KNOB(alert.use_nak),
+    ALERT_KNOB(alert.use_perimeter_fallback),
+    ALERT_KNOB(ao2p.contention_phase_s),
+    ALERT_KNOB(ao2p.max_hops),
+    ALERT_KNOB(ao2p.per_hop_processing_s),
+    ALERT_KNOB(ao2p.virtual_extension_m),
+    ALERT_KNOB(compromise_budgets),
+    ALERT_KNOB_AS("crypto.hash_s", crypto_cost.hash_s),
+    ALERT_KNOB_AS("crypto.public_decrypt_s", crypto_cost.public_decrypt_s),
+    ALERT_KNOB_AS("crypto.public_encrypt_s", crypto_cost.public_encrypt_s),
+    ALERT_KNOB_AS("crypto.sign_s", crypto_cost.sign_s),
+    ALERT_KNOB_AS("crypto.symmetric_decrypt_s",
+                  crypto_cost.symmetric_decrypt_s),
+    ALERT_KNOB_AS("crypto.symmetric_encrypt_s",
+                  crypto_cost.symmetric_encrypt_s),
+    ALERT_KNOB_AS("crypto.verify_s", crypto_cost.verify_s),
+    ALERT_KNOB(destination_update),
+    ALERT_KNOB(duration_s),
+    ALERT_KNOB(faults.churn.mttf_s),
+    ALERT_KNOB(faults.churn.mttr_s),
+    ALERT_KNOB(faults.loss.ge_loss_bad),
+    ALERT_KNOB(faults.loss.ge_loss_good),
+    ALERT_KNOB(faults.loss.ge_p_bad_good),
+    ALERT_KNOB(faults.loss.ge_p_good_bad),
+    ALERT_KNOB(faults.loss.gilbert),
+    ALERT_KNOB(faults.loss.iid),
+    ALERT_KNOB(faults.outages),
+    ALERT_KNOB(field.max.x),
+    ALERT_KNOB(field.max.y),
+    ALERT_KNOB(field.min.x),
+    ALERT_KNOB(field.min.y),
+    ALERT_KNOB(flow_count),
+    ALERT_KNOB(gpsr.max_hops),
+    ALERT_KNOB(gpsr.per_hop_processing_s),
+    ALERT_KNOB(gpsr.use_perimeter),
+    ALERT_KNOB(group_count),
+    ALERT_KNOB(group_range_m),
+    ALERT_KNOB(hello_period_s),
+    ALERT_KNOB(location.replication_period_s),
+    ALERT_KNOB(location.server_count),
+    ALERT_KNOB(location.update_period_s),
+    ALERT_KNOB(mac.arq.ack_bytes),
+    ALERT_KNOB(mac.arq.ack_timeout_s),
+    ALERT_KNOB(mac.arq.backoff_base_s),
+    ALERT_KNOB(mac.arq.enabled),
+    ALERT_KNOB(mac.arq.retry_limit),
+    ALERT_KNOB(mac.bandwidth_bps),
+    ALERT_KNOB(mac.contention_per_neighbor),
+    ALERT_KNOB(mac.difs_s),
+    ALERT_KNOB(mac.propagation_mps),
+    ALERT_KNOB(mac.slot_s),
+    ALERT_KNOB(max_pair_distance_m),
+    ALERT_KNOB(min_pair_distance_m),
+    ALERT_KNOB(mobility),
+    ALERT_KNOB(node_count),
+    ALERT_KNOB(packet_interval_s),
+    ALERT_KNOB(packets_per_flow),
+    ALERT_KNOB(payload_bytes),
+    ALERT_KNOB(protocol),
+    ALERT_KNOB(pseudonym_period_s),
+    ALERT_KNOB(radio_range_m),
+    ALERT_KNOB(residency_sample_period_s),
+    ALERT_KNOB(run_attacks),
+    ALERT_KNOB(seed),
+    ALERT_KNOB(speed_mps),
+    ALERT_KNOB(traffic_start_s),
+    ALERT_KNOB(zap.flood_rebroadcast),
+    ALERT_KNOB(zap.max_hops),
+    ALERT_KNOB(zap.per_hop_processing_s),
+    ALERT_KNOB(zap.zone_side_m),
+};
+
+#undef ALERT_KNOB
+#undef ALERT_KNOB_AS
+
+constexpr bool key_less(const Knob& a, const Knob& b) { return a.key < b.key; }
+static_assert(std::is_sorted(std::begin(kKnobs), std::end(kKnobs), key_less),
+              "kKnobs must stay in sorted key order: it is the dump's order "
+              "and apply_scenario_param binary-searches it");
+
+/// The fault plan and link-layer ARQ are inert while off (no RNG draw,
+/// event or audit word changes), so their rows are left out of the dump
+/// then: default dumps and cache keys stay those from before the features
+/// existed, and warm caches stay warm. Once anything in either block is on,
+/// every row of both is emitted — partial dumps would let two different
+/// active configs collide.
+bool fault_row(std::string_view key) {
+  return key.starts_with("faults.") || key.starts_with("mac.arq.");
 }
 
 }  // namespace
@@ -297,147 +316,14 @@ std::optional<MobilityKind> parse_mobility_kind(std::string_view name) {
 }
 
 std::string canonical_scenario(const ScenarioConfig& c) {
-  // NOTE: every semantic ScenarioConfig field must appear here. When adding
-  // a field to ScenarioConfig (or any nested config), add its line below —
-  // and bump kSimulationEpoch if the default value changes existing
-  // behaviour. The unit test pins the rendering of the default config.
-  // Exception: fields whose default is provably inert (the fault plan and
-  // the ARQ block — an all-off plan changes no RNG draw, event, or audit
-  // word) are emitted only when active, so default dumps and campaign cache
-  // keys stay byte-identical across the feature's introduction and warm
-  // caches stay warm.
-  std::vector<std::pair<std::string, std::string>> kv;
-  const auto put = [&kv](std::string key, std::string value) {
-    kv.emplace_back(std::move(key), std::move(value));
-  };
-
-  put("field.min.x", fmt_double(c.field.min.x));
-  put("field.min.y", fmt_double(c.field.min.y));
-  put("field.max.x", fmt_double(c.field.max.x));
-  put("field.max.y", fmt_double(c.field.max.y));
-  put("node_count", std::to_string(c.node_count));
-
-  put("mobility", mobility_name(c.mobility));
-  put("speed_mps", fmt_double(c.speed_mps));
-  put("group_count", std::to_string(c.group_count));
-  put("group_range_m", fmt_double(c.group_range_m));
-
-  put("radio_range_m", fmt_double(c.radio_range_m));
-  put("mac.bandwidth_bps", fmt_double(c.mac.bandwidth_bps));
-  put("mac.slot_s", fmt_double(c.mac.slot_s));
-  put("mac.difs_s", fmt_double(c.mac.difs_s));
-  put("mac.propagation_mps", fmt_double(c.mac.propagation_mps));
-  put("mac.contention_per_neighbor",
-      fmt_double(c.mac.contention_per_neighbor));
-  put("hello_period_s", fmt_double(c.hello_period_s));
-  put("pseudonym_period_s", fmt_double(c.pseudonym_period_s));
-
-  put("flow_count", std::to_string(c.flow_count));
-  put("packet_interval_s", fmt_double(c.packet_interval_s));
-  put("payload_bytes", std::to_string(c.payload_bytes));
-  put("packets_per_flow", std::to_string(c.packets_per_flow));
-  put("traffic_start_s", fmt_double(c.traffic_start_s));
-  put("min_pair_distance_m", fmt_double(c.min_pair_distance_m));
-  put("max_pair_distance_m", fmt_double(c.max_pair_distance_m));
-  put("duration_s", fmt_double(c.duration_s));
-
-  put("destination_update", fmt_bool(c.destination_update));
-  put("location.server_count", std::to_string(c.location.server_count));
-  put("location.update_period_s", fmt_double(c.location.update_period_s));
-  put("location.replication_period_s",
-      fmt_double(c.location.replication_period_s));
-
-  put("crypto.symmetric_encrypt_s",
-      fmt_double(c.crypto_cost.symmetric_encrypt_s));
-  put("crypto.symmetric_decrypt_s",
-      fmt_double(c.crypto_cost.symmetric_decrypt_s));
-  put("crypto.public_encrypt_s", fmt_double(c.crypto_cost.public_encrypt_s));
-  put("crypto.public_decrypt_s", fmt_double(c.crypto_cost.public_decrypt_s));
-  put("crypto.sign_s", fmt_double(c.crypto_cost.sign_s));
-  put("crypto.verify_s", fmt_double(c.crypto_cost.verify_s));
-  put("crypto.hash_s", fmt_double(c.crypto_cost.hash_s));
-
-  put("protocol", protocol_name(c.protocol));
-  put("alert.partitions_h", std::to_string(c.alert.partitions_h));
-  put("alert.k_anonymity",
-      c.alert.k_anonymity ? fmt_double(*c.alert.k_anonymity) : "none");
-  put("alert.max_hops", std::to_string(c.alert.max_hops));
-  put("alert.per_hop_processing_s",
-      fmt_double(c.alert.per_hop_processing_s));
-  put("alert.notify_and_go", fmt_bool(c.alert.notify_and_go));
-  put("alert.notify_t_s", fmt_double(c.alert.notify_t_s));
-  put("alert.notify_t0_s", fmt_double(c.alert.notify_t0_s));
-  put("alert.cover_bytes", std::to_string(c.alert.cover_bytes));
-  put("alert.intersection_countermeasure",
-      fmt_bool(c.alert.intersection_countermeasure));
-  put("alert.countermeasure_m", std::to_string(c.alert.countermeasure_m));
-  put("alert.bitmap_flips", std::to_string(c.alert.bitmap_flips));
-  put("alert.send_confirmation", fmt_bool(c.alert.send_confirmation));
-  put("alert.confirm_timeout_s", fmt_double(c.alert.confirm_timeout_s));
-  put("alert.max_retransmissions",
-      std::to_string(c.alert.max_retransmissions));
-  put("alert.use_nak", fmt_bool(c.alert.use_nak));
-  put("alert.use_perimeter_fallback",
-      fmt_bool(c.alert.use_perimeter_fallback));
-
-  put("gpsr.max_hops", std::to_string(c.gpsr.max_hops));
-  put("gpsr.use_perimeter", fmt_bool(c.gpsr.use_perimeter));
-  put("gpsr.per_hop_processing_s", fmt_double(c.gpsr.per_hop_processing_s));
-
-  put("alarm.dissemination_period_s",
-      fmt_double(c.alarm.dissemination_period_s));
-  put("alarm.max_hops", std::to_string(c.alarm.max_hops));
-  put("alarm.per_hop_processing_s",
-      fmt_double(c.alarm.per_hop_processing_s));
-
-  put("ao2p.max_hops", std::to_string(c.ao2p.max_hops));
-  put("ao2p.per_hop_processing_s", fmt_double(c.ao2p.per_hop_processing_s));
-  put("ao2p.contention_phase_s", fmt_double(c.ao2p.contention_phase_s));
-  put("ao2p.virtual_extension_m", fmt_double(c.ao2p.virtual_extension_m));
-
-  put("zap.zone_side_m", fmt_double(c.zap.zone_side_m));
-  put("zap.max_hops", std::to_string(c.zap.max_hops));
-  put("zap.per_hop_processing_s", fmt_double(c.zap.per_hop_processing_s));
-  put("zap.flood_rebroadcast", fmt_bool(c.zap.flood_rebroadcast));
-
-  // Fault plan + ARQ: conditional on activity (see NOTE above). Once any
-  // fault knob or the ARQ is on, every knob of both blocks is emitted —
-  // partial dumps would make two different active configs collide.
-  if (c.faults.any() || c.mac.arq.enabled) {
-    put("faults.loss.iid", fmt_double(c.faults.loss.iid));
-    put("faults.loss.gilbert", fmt_bool(c.faults.loss.gilbert));
-    put("faults.loss.ge_p_good_bad", fmt_double(c.faults.loss.ge_p_good_bad));
-    put("faults.loss.ge_p_bad_good", fmt_double(c.faults.loss.ge_p_bad_good));
-    put("faults.loss.ge_loss_good", fmt_double(c.faults.loss.ge_loss_good));
-    put("faults.loss.ge_loss_bad", fmt_double(c.faults.loss.ge_loss_bad));
-    put("faults.churn.mttf_s", fmt_double(c.faults.churn.mttf_s));
-    put("faults.churn.mttr_s", fmt_double(c.faults.churn.mttr_s));
-    put("faults.outages", format_outages(c.faults.outages));
-    put("mac.arq.enabled", fmt_bool(c.mac.arq.enabled));
-    put("mac.arq.retry_limit", std::to_string(c.mac.arq.retry_limit));
-    put("mac.arq.ack_timeout_s", fmt_double(c.mac.arq.ack_timeout_s));
-    put("mac.arq.backoff_base_s", fmt_double(c.mac.arq.backoff_base_s));
-    put("mac.arq.ack_bytes", std::to_string(c.mac.arq.ack_bytes));
-  }
-
-  put("residency_sample_period_s", fmt_double(c.residency_sample_period_s));
-  put("run_attacks", fmt_bool(c.run_attacks));
-  {
-    std::string budgets;
-    for (const std::size_t b : c.compromise_budgets) {
-      if (!budgets.empty()) budgets += ',';
-      budgets += std::to_string(b);
-    }
-    put("compromise_budgets", budgets);
-  }
-  put("seed", std::to_string(c.seed));
-
-  std::sort(kv.begin(), kv.end());
+  const bool faults_on = c.faults.any() || c.mac.arq.enabled;
   std::string out;
-  for (const auto& [key, value] : kv) {
-    out += key;
+  out.reserve(4096);
+  for (const Knob& k : kKnobs) {
+    if (!faults_on && fault_row(k.key)) continue;
+    out += k.key;
     out += '=';
-    out += value;
+    k.render(c, out);
     out += '\n';
   }
   return out;
@@ -465,15 +351,17 @@ std::string scenario_unit_key(const ScenarioConfig& config,
 
 bool apply_scenario_param(ScenarioConfig& config, std::string_view key,
                           std::string_view value, std::string* error) {
-  const auto& table = setters();
-  const auto it = table.find(key);
-  if (it == table.end()) {
+  if (key == "partitions_h") key = "alert.partitions_h";  // the paper's name
+  const Knob* it = std::lower_bound(
+      std::begin(kKnobs), std::end(kKnobs), key,
+      [](const Knob& k, std::string_view want) { return k.key < want; });
+  if (it == std::end(kKnobs) || it->key != key) {
     if (error != nullptr) {
       *error = "unknown scenario parameter '" + std::string(key) + "'";
     }
     return false;
   }
-  if (!it->second(config, value)) {
+  if (!it->parse(value, config)) {
     if (error != nullptr) {
       *error = "bad value '" + std::string(value) + "' for scenario parameter '" +
                std::string(key) + "'";
@@ -481,13 +369,6 @@ bool apply_scenario_param(ScenarioConfig& config, std::string_view key,
     return false;
   }
   return true;
-}
-
-std::vector<std::string> scenario_param_keys() {
-  std::vector<std::string> keys;
-  keys.reserve(setters().size());
-  for (const auto& [key, setter] : setters()) keys.push_back(key);
-  return keys;
 }
 
 }  // namespace alert::core

@@ -10,7 +10,10 @@
 /// Two configs with equal canonical forms produce identical replications
 /// (same seeds, same event trace, same digests). Observability options
 /// (ScenarioConfig::obs) are deliberately excluded: attaching a trace sink
-/// or profiler never feeds the determinism digest.
+/// or profiler never feeds the determinism digest. The faults.* and
+/// mac.arq.* rows appear only while the fault plan or the ARQ is on: an
+/// all-off plan is inert, so default dumps read as they did before either
+/// existed.
 ///
 /// scenario_unit_key() is the cache key of one (scenario, replication) work
 /// unit: SHA-1 over (canonical form, replication index, kSimulationEpoch).
@@ -19,15 +22,15 @@
 /// when simulation semantics change. Bump it whenever a change alters what
 /// run_once computes for an unchanged config.
 ///
-/// apply_scenario_param() is the string->field binding layer used by sweep
-/// grids (campaign specs loaded from JSON) and exercised by the figure
-/// registry; it covers the knobs the paper's evaluation sweeps.
+/// apply_scenario_param() parses one `key=value` pair into its field. It
+/// reads the very table canonical_scenario() renders, so every key of the
+/// dump is settable and every dump line applies back exactly; campaign
+/// specs and alertsim_cli's flags both go through it.
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/scenario.hpp"
 
@@ -53,14 +56,12 @@ inline constexpr const char* kSimulationEpoch = "alertsim-sim/1";
 [[nodiscard]] std::optional<MobilityKind> parse_mobility_kind(
     std::string_view name);  ///< "rwp"/"random_waypoint"/"group"/"static"
 
-/// Set one sweepable parameter from its string form. Returns false and
-/// fills `error` on an unknown key or unparseable value. The key namespace
-/// is the same one canonical_scenario() emits (e.g. "node_count",
-/// "speed_mps", "protocol", "alert.partitions_h", "mobility").
+/// Set one scenario field from its canonical text. Returns false and fills
+/// `error` on an unknown key or a value that does not parse whole. Keys are
+/// those canonical_scenario() emits — every field, including the faults.*
+/// and mac.arq.* rows a default dump leaves out — plus `partitions_h`, an
+/// alias of `alert.partitions_h`.
 bool apply_scenario_param(ScenarioConfig& config, std::string_view key,
                           std::string_view value, std::string* error);
-
-/// The sweepable parameter keys apply_scenario_param() understands.
-[[nodiscard]] std::vector<std::string> scenario_param_keys();
 
 }  // namespace alert::core

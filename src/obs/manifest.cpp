@@ -2,18 +2,13 @@
 
 #include <fstream>
 
+#include "alertsim_build_version.h"  // generated: ALERTSIM_BUILD_VERSION
 #include "obs/series.hpp"
 #include "util/logging.hpp"
 
 namespace alert::obs {
 
-const char* build_version() {
-#if defined(ALERTSIM_GIT_DESCRIBE)
-  return ALERTSIM_GIT_DESCRIBE;
-#else
-  return "unknown";
-#endif
-}
+const char* build_version() { return ALERTSIM_BUILD_VERSION; }
 
 void RunManifest::write_json(std::ostream& out) const {
   JsonWriter w(out);

@@ -63,8 +63,9 @@ struct RunManifest {
   bool write_file(const std::string& path) const;
 };
 
-/// The project version string baked in at configure time
-/// (`git describe --always --dirty`, or "unknown" outside a git checkout).
+/// The project version string stamped at build time
+/// (`git describe --always --dirty --tags`, or "unknown" outside a git
+/// checkout).
 [[nodiscard]] const char* build_version();
 
 }  // namespace alert::obs

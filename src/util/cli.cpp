@@ -1,6 +1,6 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include "util/parse.hpp"
 
 namespace alert::util {
 
@@ -39,27 +39,33 @@ std::string CliArgs::get(const std::string& key,
   return it->second.first;
 }
 
-double CliArgs::get(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+namespace {
+
+/// The typed getters: a value that does not parse whole (util/parse.hpp)
+/// stays unconsumed, so the driver's unused() check reports it.
+template <typename T, typename Parse>
+T get_parsed(std::map<std::string, std::pair<std::string, bool>>& values,
+             const std::string& key, T fallback, Parse parse) {
+  const auto it = values.find(key);
+  T value{};
+  if (it == values.end() || !parse(it->second.first, &value)) return fallback;
   it->second.second = true;
-  return std::strtod(it->second.first.c_str(), nullptr);
+  return value;
+}
+
+}  // namespace
+
+double CliArgs::get(const std::string& key, double fallback) const {
+  return get_parsed(values_, key, fallback, parse_number<double>);
 }
 
 std::int64_t CliArgs::get(const std::string& key,
                           std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  it->second.second = true;
-  return std::strtoll(it->second.first.c_str(), nullptr, 10);
+  return get_parsed(values_, key, fallback, parse_number<std::int64_t>);
 }
 
 bool CliArgs::get(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  it->second.second = true;
-  const std::string& v = it->second.first;
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  return get_parsed(values_, key, fallback, parse_bool);
 }
 
 CommonFlags CommonFlags::from(const CliArgs& args) {

@@ -3,7 +3,10 @@
 /// \file cli.hpp
 /// Minimal command-line flag parser for the alertsim driver binaries:
 /// `--key=value` / `--key value` / boolean `--flag`. No dependencies,
-/// deterministic error reporting, typed getters with defaults.
+/// deterministic error reporting, typed getters with defaults. The typed
+/// getters parse strictly (util/parse.hpp): a value such as `--reps 3x`
+/// returns the fallback and stays unconsumed, so every driver's unused()
+/// check rejects it like a typo.
 
 #include <cstdint>
 #include <map>
@@ -31,7 +34,8 @@ class CliArgs {
                                  std::int64_t fallback) const;
   [[nodiscard]] bool get(const std::string& key, bool fallback) const;
 
-  /// Keys the program never consumed (typo detection).
+  /// Keys the program never consumed: typos, and values a typed getter
+  /// could not parse.
   [[nodiscard]] std::vector<std::string> unused() const;
 
  private:

@@ -17,6 +17,7 @@
 #include "campaign/result_codec.hpp"
 #include "campaign/spec.hpp"
 #include "core/scenario_codec.hpp"
+#include "crypto/sha1.hpp"  // alert-lint: allow(module-layering) the registry unit keys are pinned by their SHA-1
 #include "temp_dir.hpp"
 
 namespace alert::campaign {
@@ -437,6 +438,29 @@ TEST(FigureRegistry, EveryFigureBuildsAConsistentSpec) {
   }
   EXPECT_NE(find_figure("fig11_rf_vs_partitions"), nullptr);
   EXPECT_EQ(find_figure("no_such_figure"), nullptr);
+}
+
+TEST(FigureRegistry, UnitKeysArePinned) {
+  // The cache identity of the whole paper: every registry unit key at one
+  // rep, in registry order, one per line. Any change to the canonical dump,
+  // the key derivation or the registry's scenarios moves this digest and
+  // turns every warm cache cold; kSimulationEpoch bumps move it on purpose.
+  std::string keys;
+  std::size_t units = 0;
+  for (const FigureDef& def : figure_registry()) {
+    for (const WorkUnit& unit : expand_units(def.build(), 1).units) {
+      keys += unit.key;
+      keys += '\n';
+      ++units;
+    }
+  }
+  EXPECT_EQ(units, 242u);
+  std::string hex;
+  for (const std::uint8_t byte : crypto::Sha1::hash(keys)) {
+    hex += "0123456789abcdef"[byte >> 4];
+    hex += "0123456789abcdef"[byte & 0xF];
+  }
+  EXPECT_EQ(hex, "0721a35face6755e95fc855b04eb6a9a2756481c");
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
-#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "campaign/spec.hpp"  // alert-lint: allow(module-layering) test checks fault scenarios round-trip campaign specs
 #include "core/scenario_codec.hpp"
@@ -11,19 +13,19 @@
 namespace alert::core {
 namespace {
 
-/// Value of `key` in a canonical dump, or "" when the key is absent.
-std::string value_of(const std::string& dump, std::string_view key) {
-  const std::string needle = std::string(key) + "=";
+/// The (key, value) pairs of a canonical dump, in dump order.
+std::vector<std::pair<std::string, std::string>> dump_pairs(
+    const std::string& dump) {
+  std::vector<std::pair<std::string, std::string>> pairs;
   std::size_t pos = 0;
   while (pos < dump.size()) {
     const std::size_t eol = dump.find('\n', pos);
-    const std::string_view line(dump.data() + pos, eol - pos);
-    if (line.substr(0, needle.size()) == needle) {
-      return std::string(line.substr(needle.size()));
-    }
+    const std::string line = dump.substr(pos, eol - pos);
+    const std::size_t eq = line.find('=');
+    pairs.emplace_back(line.substr(0, eq), line.substr(eq + 1));
     pos = eol + 1;
   }
-  return "";
+  return pairs;
 }
 
 ScenarioConfig faulty_scenario() {
@@ -79,24 +81,124 @@ TEST(FaultCodec, FaultKnobsRoundTripThroughParams) {
   const ScenarioConfig original = faulty_scenario();
   const std::string dump = canonical_scenario(original);
   ScenarioConfig rebuilt;
-  rebuilt.node_count = original.node_count;
-  rebuilt.flow_count = original.flow_count;
-  rebuilt.duration_s = original.duration_s;
-  rebuilt.seed = original.seed;
   std::string error;
-  for (const char* key :
-       {"faults.loss.iid", "faults.loss.gilbert", "faults.loss.ge_p_good_bad",
-        "faults.loss.ge_p_bad_good", "faults.loss.ge_loss_good",
-        "faults.loss.ge_loss_bad", "faults.churn.mttf_s",
-        "faults.churn.mttr_s", "faults.outages", "mac.arq.enabled",
-        "mac.arq.retry_limit", "mac.arq.ack_timeout_s",
-        "mac.arq.backoff_base_s", "mac.arq.ack_bytes"}) {
-    ASSERT_TRUE(apply_scenario_param(rebuilt, key, value_of(dump, key),
-                                     &error))
+  for (const auto& [key, value] : dump_pairs(dump)) {
+    ASSERT_TRUE(apply_scenario_param(rebuilt, key, value, &error))
         << key << ": " << error;
   }
   EXPECT_EQ(canonical_scenario(rebuilt), dump);
   EXPECT_EQ(scenario_unit_key(rebuilt, 0), scenario_unit_key(original, 0));
+}
+
+/// Every semantic field off its default, the fault plan and ARQ included.
+ScenarioConfig off_default_scenario() {
+  ScenarioConfig c;
+  c.field = {1.5, 2.5, 900.25, 800.125};
+  c.node_count = 123;
+  c.mobility = MobilityKind::Group;
+  c.speed_mps = 3.25;
+  c.group_count = 7;
+  c.group_range_m = 99.5;
+  c.radio_range_m = 211.0;
+  c.mac.bandwidth_bps = 1e6;
+  c.mac.slot_s = 2e-4;
+  c.mac.difs_s = 3e-5;
+  c.mac.propagation_mps = 2.5e8;
+  c.mac.contention_per_neighbor = 0.2;
+  c.mac.arq = {true, 3, 0.002, 0.0005, 20};
+  c.hello_period_s = 1.5;
+  c.pseudonym_period_s = 15.0;
+  c.faults.loss = {0.1, true, 0.07, 0.2, 0.01, 0.5};
+  c.faults.churn.mttf_s = 50.0;
+  c.faults.churn.mttr_s = 5.0;
+  c.faults.outages = {{{250.0, 250.0}, 100.0, 5.0, 12.0},
+                      {{1.0 / 3.0, 10.0}, 5.0, 0.0, 1.0}};
+  c.flow_count = 5;
+  c.packet_interval_s = 1.0 / 3.0;  // needs all 17 digits to round-trip
+  c.payload_bytes = 256;
+  c.packets_per_flow = 9;
+  c.traffic_start_s = 4.5;
+  c.min_pair_distance_m = 10.0;
+  c.max_pair_distance_m = 700.0;
+  c.duration_s = 42.0;
+  c.destination_update = false;
+  c.location = {9, 0.5, 2.0};
+  c.crypto_cost = {0.001, 0.002, 0.1, 0.2, 0.3, 0.01, 0.0002};
+  c.protocol = ProtocolKind::Zap;
+  c.alert.partitions_h = 4;
+  c.alert.k_anonymity = 12.5;
+  c.alert.max_hops = 30;
+  c.alert.per_hop_processing_s = 1e-4;
+  c.alert.notify_and_go = false;
+  c.alert.notify_t_s = 0.002;
+  c.alert.notify_t0_s = 0.005;
+  c.alert.cover_bytes = 32;
+  c.alert.intersection_countermeasure = true;
+  c.alert.countermeasure_m = 4;
+  c.alert.bitmap_flips = 8;
+  c.alert.send_confirmation = false;
+  c.alert.confirm_timeout_s = 2.5;
+  c.alert.max_retransmissions = 2;
+  c.alert.use_nak = false;
+  c.alert.use_perimeter_fallback = false;
+  c.gpsr = {12, false, 3e-4};
+  c.alarm = {20.0, 11, 3e-4};
+  c.ao2p = {9, 3e-4, 0.01, 150.0};
+  c.zap = {200.0, 20, 3e-4, false};
+  c.residency_sample_period_s = 3.0;
+  c.run_attacks = true;
+  c.compromise_budgets = {2, 5};
+  c.seed = 99;
+  return c;
+}
+
+TEST(ScenarioCodec, EveryKeyRoundTripsThroughParams) {
+  const std::string dump = canonical_scenario(off_default_scenario());
+  // Every row really is off its default: no line matches the default
+  // config's dump (all rows shown by switching the ARQ on).
+  ScenarioConfig defaults;
+  defaults.mac.arq.enabled = true;
+  const std::string default_dump = canonical_scenario(defaults);
+  const auto pairs = dump_pairs(dump);
+  const auto default_pairs = dump_pairs(default_dump);
+  EXPECT_EQ(pairs.size(), default_pairs.size());
+  for (const auto& [key, value] : pairs) {
+    if (key == "mac.arq.enabled") continue;
+    const std::pair<std::string, std::string> row{key, value};
+    EXPECT_EQ(std::count(default_pairs.begin(), default_pairs.end(), row), 0)
+        << key << " is at its default";
+  }
+
+  ScenarioConfig rebuilt;
+  std::string error;
+  for (const auto& [key, value] : pairs) {
+    ASSERT_TRUE(apply_scenario_param(rebuilt, key, value, &error))
+        << key << ": " << error;
+  }
+  EXPECT_EQ(canonical_scenario(rebuilt), dump);
+
+  // Strict: a value that does not parse is refused and changes nothing.
+  for (const auto& [key, value] : pairs) {
+    EXPECT_FALSE(apply_scenario_param(rebuilt, key, value + "x!", &error))
+        << key;
+    EXPECT_NE(error.find("bad value"), std::string::npos) << key;
+  }
+  EXPECT_EQ(canonical_scenario(rebuilt), dump);
+}
+
+TEST(ScenarioCodec, AliasAndUnknownKeys) {
+  ScenarioConfig cfg;
+  std::string error;
+  ASSERT_TRUE(apply_scenario_param(cfg, "partitions_h", "3", &error));
+  EXPECT_EQ(cfg.alert.partitions_h, 3);
+  EXPECT_FALSE(apply_scenario_param(cfg, "nodez", "40", &error));
+  EXPECT_EQ(error, "unknown scenario parameter 'nodez'");
+  EXPECT_FALSE(apply_scenario_param(cfg, "node_count", "-1", &error));
+  EXPECT_FALSE(apply_scenario_param(cfg, "node_count", " 5", &error));
+  EXPECT_FALSE(apply_scenario_param(cfg, "compromise_budgets", "1,", &error));
+  EXPECT_FALSE(apply_scenario_param(cfg, "alert.partitions_h", "99999999999",
+                                    &error));
+  EXPECT_EQ(cfg.node_count, 200u);
 }
 
 TEST(FaultCodec, FaultKnobsChangeTheUnitKey) {
@@ -159,6 +261,21 @@ TEST(FaultScenarioDeathTest, FlowsWithFewerThanTwoNodesAreRejected) {
     cfg.flow_count = 1;
     EXPECT_EXIT(validate_scenario(cfg), ::testing::ExitedWithCode(2),
                 "invalid scenario: flows need at least two nodes");
+  }
+}
+
+TEST(FaultScenarioDeathTest, NonPositivePeriodsAreRejected) {
+  // Each paces a periodic process that a zero period would never advance.
+  for (const std::string key :
+       {"hello_period_s", "pseudonym_period_s", "packet_interval_s",
+        "location.update_period_s", "location.replication_period_s",
+        "residency_sample_period_s"}) {
+    ScenarioConfig cfg;
+    std::string error;
+    ASSERT_TRUE(apply_scenario_param(cfg, key, "0", &error)) << error;
+    EXPECT_EXIT(validate_scenario(cfg), ::testing::ExitedWithCode(2),
+                "invalid scenario: " + key + " must be > 0")
+        << key;
   }
 }
 

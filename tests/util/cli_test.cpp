@@ -94,7 +94,40 @@ TEST(Cli, BoolAcceptedSpellings) {
   EXPECT_TRUE(args->get("a", false));
   EXPECT_TRUE(args->get("b", false));
   EXPECT_TRUE(args->get("c", false));
-  EXPECT_FALSE(args->get("d", true));
+  // "nope" is no bool: the fallback, and the key stays unconsumed.
+  EXPECT_TRUE(args->get("d", true));
+  EXPECT_EQ(args->unused(), std::vector<std::string>{"d"});
+}
+
+TEST(Cli, TypedGettersRejectPartialValues) {
+  const auto args = parse({"--reps", "3x", "--threads=abc", "--speed=2.5m",
+                           "--n= 5", "--big=99999999999999999999"});
+  ASSERT_TRUE(args);
+  EXPECT_EQ(args->get("reps", std::int64_t{7}), 7);
+  EXPECT_EQ(args->get("threads", std::int64_t{0}), 0);
+  EXPECT_DOUBLE_EQ(args->get("speed", 1.0), 1.0);
+  EXPECT_EQ(args->get("n", std::int64_t{1}), 1);
+  EXPECT_EQ(args->get("big", std::int64_t{1}), 1);
+  // Unparsed values stay unconsumed, so the driver's typo check sees them.
+  EXPECT_EQ(args->unused(), (std::vector<std::string>{"big", "n", "reps",
+                                                      "speed", "threads"}));
+}
+
+TEST(Cli, CommonFlagsLeaveBadNumbersUnused) {
+  const auto args = parse({"--reps", "3x", "--threads", "abc"});
+  ASSERT_TRUE(args);
+  const CommonFlags flags = CommonFlags::from(*args);
+  EXPECT_EQ(flags.reps, 0);
+  EXPECT_EQ(flags.threads, 0);
+  EXPECT_EQ(args->unused(), (std::vector<std::string>{"reps", "threads"}));
+}
+
+TEST(Cli, NegativeAndExponentNumbersParse) {
+  const auto args = parse({"--threads", "-1", "--scale=1e-3"});
+  ASSERT_TRUE(args);
+  EXPECT_EQ(args->get("threads", std::int64_t{0}), -1);
+  EXPECT_DOUBLE_EQ(args->get("scale", 0.0), 1e-3);
+  EXPECT_TRUE(args->unused().empty());
 }
 
 }  // namespace

@@ -126,9 +126,8 @@ int main(int argc, char** argv) {
     }
     for (const std::string& file : files) {
       auto spec = campaign::load_spec_file(file, &error);
-      if (!spec) {
-        std::fprintf(stderr, "alertsim-campaign: %s: %s\n", file.c_str(),
-                     error.c_str());
+      if (!spec) {  // the loader's message already names the file
+        std::fprintf(stderr, "alertsim-campaign: %s\n", error.c_str());
         return 2;
       }
       specs.push_back(std::move(*spec));

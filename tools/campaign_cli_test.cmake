@@ -1,7 +1,8 @@
-# Flag-surface check for alertsim-campaign. A flag the driver does not
-# honour must fail loudly (exit 2 with a message on stderr), never run the
-# sweep and quietly skip what the flag asked for. Invoked by the
-# campaign.cli_rejects_flags ctest entry as:
+# Input-surface check for alertsim-campaign. A flag the driver does not
+# honour, a value it cannot parse or a spec it cannot use must fail loudly
+# (exit 2 with one message on stderr), never run the sweep and quietly skip
+# what was asked for. Invoked by the campaign.cli_rejects_flags ctest entry
+# as:
 #   cmake -DCAMPAIGN=<tool> -DOUT=<scratch dir> -P campaign_cli_test.cmake
 
 foreach(var CAMPAIGN OUT)
@@ -24,3 +25,38 @@ foreach(flag worker worker-id workers aggregate lease-ttl max-retries
         dist-summary)
   expect_usage_error("unknown flag --${flag}" --${flag} 1)
 endforeach()
+
+# A number that does not parse whole stays unconsumed, as a typo does:
+# "--reps 3x" is a usage error, never 3 reps.
+expect_usage_error("unknown flag --reps" --reps 3x)
+expect_usage_error("unknown flag --threads" --threads abc)
+
+# A spec load error names the file once.
+set(bad_spec "${OUT}/bad_key.json")
+file(WRITE "${bad_spec}" [=[{"schema": "alertsim-campaign-spec/1", "name": "bad_key",
+ "y_metric": "delivery_rate", "base": {"nodez": 40},
+ "x": {"param": "speed_mps", "values": [1]}}
+]=])
+expect_usage_error(
+  "^alertsim-campaign: ${bad_spec}: base: unknown scenario parameter 'nodez'\n$"
+  --spec "${bad_spec}")
+
+# An invalid point is reported once, by the main thread, before any unit
+# runs — not once per pool worker that reaches it.
+set(bad_point "${OUT}/one_node.json")
+file(WRITE "${bad_point}" [=[{"schema": "alertsim-campaign-spec/1", "name": "one_node",
+ "y_metric": "delivery_rate", "base": {"node_count": 1},
+ "x": {"param": "speed_mps", "values": [1, 2]}}
+]=])
+execute_process(
+  COMMAND "${CAMPAIGN}" --spec "${bad_point}" --threads 2 --no-cache
+          --out-dir "${OUT}"
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET
+  ERROR_VARIABLE err)
+string(REGEX MATCHALL "invalid scenario" reports "${err}")
+list(LENGTH reports n)
+if(NOT rc EQUAL 2 OR NOT n EQUAL 1)
+  message(FATAL_ERROR
+          "invalid point: expected exit 2 and one report, got '${rc}':\n${err}")
+endif()
