@@ -71,9 +71,7 @@ int main(int argc, char** argv) {
       args->get("out", std::string("scale_latency_manifest.json"));
   const bool record_rss = args->get("peak-rss", false);
   const std::string log_level = args->get("log-level", std::string("info"));
-  for (const auto& key : args->unused()) {
-    return usage(("unknown flag --" + key).c_str());
-  }
+  if (const auto bad = args->rejection()) return usage(bad->c_str());
   if (const auto level = util::parse_log_level(log_level)) {
     util::set_log_level(*level);
   } else {

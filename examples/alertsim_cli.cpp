@@ -48,18 +48,20 @@ int main(int argc, char** argv) {
   const bool csv = args.get("csv", false);
   const bool profile = args.get("profile", false);
 
-  // Everything else is one scenario key each.
+  // Everything else is one scenario key each. Once every key is read,
+  // rejection() can only name a driver flag whose value did not parse; that
+  // outranks the "unknown scenario parameter" the flag also raised here.
   core::ScenarioConfig cfg;
+  std::string scenario_error;
   for (const std::string& key : args.unused()) {
-    const std::string value = args.get(key, std::string());
-    if (key == "reps" || key == "threads" || key == "csv" ||
-        key == "profile") {
-      return usage("bad value '" + value + "' for --" + key);
-    }
-    if (!core::apply_scenario_param(cfg, key, value, &error)) {
-      return usage(error);
+    if (!core::apply_scenario_param(cfg, key, args.get(key, std::string()),
+                                    &error) &&
+        scenario_error.empty()) {
+      scenario_error = error;
     }
   }
+  if (const auto bad = args.rejection()) return usage(*bad);
+  if (!scenario_error.empty()) return usage(scenario_error);
   if (reps_flag < 1 ||
       static_cast<std::size_t>(reps_flag) > core::kMaxReplications) {
     return usage("--reps must be in 1.." +

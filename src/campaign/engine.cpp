@@ -56,8 +56,7 @@ UnitGrid expand_units(const CampaignSpec& spec, std::size_t reps_option,
     core::validate_scenario(point.config);
   }
   UnitGrid grid;
-  grid.reps = reps_option > 0 ? reps_option
-                              : core::bench_replications(spec.fallback_reps);
+  grid.reps = reps_option > 0 ? reps_option : spec.fallback_reps;
   grid.point_reps.assign(spec.points.size(), 0);
   for (std::size_t p = 0; p < spec.points.size(); ++p) {
     grid.point_reps[p] = spec.points[p].reps_override > 0
@@ -125,9 +124,6 @@ obs::RunManifest assemble_manifest(const CampaignSpec& spec,
   manifest.add_param("duration_s", std::to_string(defaults.duration_s));
   manifest.add_param("partitions_h",
                      std::to_string(defaults.alert.partitions_h));
-  for (const auto& [key, value] : spec.extra_params) {
-    manifest.add_param(key, value);
-  }
   for (const PointResult& pr : points) {
     manifest.metrics.merge(pr.result.metrics);
     manifest.profile.merge(pr.result.profile);
@@ -153,14 +149,16 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
                              const CampaignOptions& options) {
   CampaignOutcome outcome;
 
-  if (options.print) {
-    obs::print_figure_banner(spec.banner, paper_defaults_line());
-  }
-
   // --- expand the grid into work units ------------------------------------
+  // Before the banner: a point expand_units rejects exits with nothing on
+  // stdout.
   UnitGrid grid = expand_units(spec, options.reps, !options.trace_out.empty());
   outcome.reps = grid.reps;
   outcome.units_total = grid.units.size();
+
+  if (options.print) {
+    obs::print_figure_banner(spec.banner, paper_defaults_line());
+  }
 
   std::unique_ptr<ResultCache> cache;
   std::unique_ptr<Journal> journal;

@@ -37,8 +37,7 @@
 namespace alert::campaign {
 
 struct CampaignOptions {
-  /// Replications per point; 0 = ALERTSIM_REPS / spec.fallback_reps (the
-  /// same resolution the benches use).
+  /// Replications per point; 0 = spec.fallback_reps.
   std::size_t reps = 0;
   std::size_t threads = 0;  ///< 0 = hardware concurrency
   /// Cache root; empty = default_cache_root(). Ignored when !use_cache.

@@ -24,7 +24,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -83,12 +82,10 @@ struct CampaignSpec {
   std::string title;    ///< table/manifest title
   std::string x_label;
   std::string y_label;
-  std::size_t fallback_reps = 10;  ///< when neither --reps nor ALERTSIM_REPS
+  std::size_t fallback_reps = 10;  ///< when --reps is not given
   std::string y_metric;            ///< default-reducer extractor name
   std::vector<PointSpec> points;
   Reducer reduce;  ///< nullptr = default reducer over y_metric
-  /// Extra manifest params beyond the shared paper defaults.
-  std::vector<std::pair<std::string, std::string>> extra_params;
   /// Static notes appended after the reducer's.
   std::vector<std::string> notes;
 };

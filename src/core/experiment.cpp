@@ -1,7 +1,6 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -30,10 +29,10 @@ namespace {
 /// per application packet (uid): first radio arrival wins.
 class DeliveryCounter final : public net::TraceListener {
  public:
-  /// Optional per-delivery metric feeds (null = not collecting): latency
-  /// observations and a hop-count distribution for the run's snapshot.
-  DeliveryCounter(util::Accumulator* latency_sample,
-                  util::Histogram* hops_hist)
+  /// Per-delivery metric feeds: latency observations and a hop-count
+  /// distribution for the run's snapshot.
+  DeliveryCounter(util::Accumulator& latency_sample,
+                  util::Histogram& hops_hist)
       : latency_sample_(latency_sample), hops_hist_(hops_hist) {}
 
   void on_deliver(const net::Node& receiver, const net::Packet& pkt,
@@ -45,12 +44,8 @@ class DeliveryCounter final : public net::TraceListener {
     latency_sum_ += when - pkt.app_send_time;
     e2e_sum_ += when - pkt.first_send_time;
     hops_sum_ += pkt.hop_count;
-    if (latency_sample_ != nullptr) {
-      latency_sample_->add(when - pkt.app_send_time);
-    }
-    if (hops_hist_ != nullptr) {
-      hops_hist_->add(static_cast<double>(pkt.hop_count));
-    }
+    latency_sample_.add(when - pkt.app_send_time);
+    hops_hist_.add(static_cast<double>(pkt.hop_count));
   }
 
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
@@ -76,8 +71,8 @@ class DeliveryCounter final : public net::TraceListener {
   double latency_sum_ = 0.0;
   double e2e_sum_ = 0.0;
   std::int64_t hops_sum_ = 0;
-  util::Accumulator* latency_sample_;
-  util::Histogram* hops_hist_;
+  util::Accumulator& latency_sample_;
+  util::Histogram& hops_hist_;
 };
 
 std::unique_ptr<net::MobilityModel> make_mobility(
@@ -216,12 +211,9 @@ RunResult run_once(const ScenarioConfig& config,
     obs_sink = obs::make_trace_sink(config.obs.trace_out);
     tracer = obs::Tracer(obs_sink.get());
   }
-  std::unique_ptr<ObsBridge> obs_bridge;
-  if (config.obs.metrics || tracer.enabled()) {
-    obs_bridge = std::make_unique<ObsBridge>(metrics, tracer);
-    network.add_listener(obs_bridge.get());
-  }
-  if (config.obs.metrics) protocol->set_metrics(&metrics);
+  ObsBridge obs_bridge(metrics, tracer);
+  network.add_listener(&obs_bridge);
+  protocol->set_metrics(&metrics);
 
   // Node-level fault processes (src/faults): churn and outage markers ride
   // on a dedicated RNG fork, so an inert plan leaves every existing stream
@@ -234,13 +226,11 @@ RunResult run_once(const ScenarioConfig& config,
         [&network](std::uint32_t node, bool up) {
           network.set_node_alive(node, up);
         },
-        config.obs.metrics ? &metrics : nullptr, tracer);
+        &metrics, tracer);
   }
 
-  DeliveryCounter delivery(
-      config.obs.metrics ? &metrics.sample("app.latency_s") : nullptr,
-      config.obs.metrics ? &metrics.histogram("app.hop_count", 0.0, 40.0, 40)
-                         : nullptr);
+  DeliveryCounter delivery(metrics.sample("app.latency_s"),
+                           metrics.histogram("app.hop_count", 0.0, 40.0, 40));
   network.add_listener(&delivery);
   attack::PassiveObserver observer(network);
   network.add_listener(&observer);
@@ -426,11 +416,9 @@ RunResult run_once(const ScenarioConfig& config,
     }
   }
 
-  if (config.obs.metrics) {
-    export_protocol_stats(metrics, proto->stats());
-    export_run_totals(metrics, network);
-    result.metrics = metrics.snapshot();
-  }
+  export_protocol_stats(metrics, proto->stats());
+  export_run_totals(metrics, network);
+  result.metrics = metrics.snapshot();
   if (config.obs.profile) result.profile = profiler.report();
   if (obs_sink != nullptr) obs_sink->finish();
   return result;
@@ -509,23 +497,6 @@ ExperimentResult run_experiment(const ScenarioConfig& config,
     result.add(run);
   }
   return result;
-}
-
-std::size_t bench_replications(std::size_t fallback) {
-  const char* env = std::getenv("ALERTSIM_REPS");
-  if (env == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  const bool numeric = end != env && *end == '\0' && env[0] != '-';
-  if (!numeric || errno == ERANGE || v == 0 || v > kMaxReplications) {
-    std::fprintf(stderr,
-                 "ALERTSIM_REPS='%s' is invalid: expected an integer in "
-                 "[1, %zu]\n",
-                 env, kMaxReplications);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(v);
 }
 
 }  // namespace alert::core

@@ -111,10 +111,10 @@ struct ExperimentResult {
 /// garbage curves; flows over fewer than two nodes would never find a
 /// destination; and a non-positive period (hellos, pseudonyms, packets,
 /// location updates/replication, residency samples) never advances. The
-/// message goes to stderr and the process exits with status 2 — the same
-/// hard-error contract as a malformed ALERTSIM_REPS. run_once calls this on
-/// every replication; campaign::expand_units calls it once per point on
-/// the calling thread, before any unit is scheduled.
+/// message goes to stderr and the process exits with status 2, as a bad
+/// command-line value does. run_once calls this on every replication;
+/// campaign::expand_units calls it once per point on the calling thread,
+/// before any unit is scheduled.
 void validate_scenario(const ScenarioConfig& config);
 
 /// Run one replication with the given seed offset (deterministic).
@@ -127,16 +127,7 @@ void validate_scenario(const ScenarioConfig& config);
                                               std::size_t replications,
                                               std::size_t threads = 0);
 
-/// Replication count for figure campaigns: honours the ALERTSIM_REPS
-/// environment variable, defaulting to `fallback` (the paper uses 30; the
-/// figures default lower to keep a full regeneration pass quick).
-/// A set-but-invalid ALERTSIM_REPS (non-numeric, trailing junk, zero,
-/// negative, or larger than kMaxReplications) is a hard error: the message
-/// goes to stderr and the process exits with status 2 — silently falling
-/// back would corrupt replication-count comparisons between runs.
-[[nodiscard]] std::size_t bench_replications(std::size_t fallback = 10);
-
-/// Upper bound on replications accepted from ALERTSIM_REPS / --reps.
+/// Upper bound on replications accepted from --reps and campaign specs.
 inline constexpr std::size_t kMaxReplications = 100000;
 
 }  // namespace alert::core

@@ -26,14 +26,13 @@ enum class ProtocolKind : std::uint8_t { Alert, Gpsr, Alarm, Ao2p, Zap };
 
 enum class MobilityKind : std::uint8_t { RandomWaypoint, Group, Static };
 
-/// Observability wiring (src/obs). Metrics collection is one listener with
-/// pointer-indirect counter bumps and is on by default; profiling reads the
-/// host wall clock (it never feeds the determinism digest) and is opt-in;
+/// Observability wiring (src/obs). Metrics are always collected (one
+/// listener with pointer-indirect counter bumps); profiling reads the host
+/// wall clock (it never feeds the determinism digest) and is opt-in;
 /// trace_out streams replication 0's structured TraceEvents to a file whose
 /// extension picks the sink (.jsonl / .csv / anything else → Chrome
 /// trace_event JSON for chrome://tracing and ui.perfetto.dev).
 struct ObsOptions {
-  bool metrics = true;
   bool profile = false;
   std::string trace_out;
 };

@@ -81,9 +81,9 @@ struct FaultPlan {
 
 /// Reject unusable plans before any simulation runs: a loss probability
 /// outside [0,1] or a negative MTTF/MTTR silently produces garbage results,
-/// so scenario load treats them as fatal (exit 2 at the harness layer, same
-/// contract as a malformed ALERTSIM_REPS). Returns the rejection reason, or
-/// nullopt when the plan is usable.
+/// so scenario load treats them as fatal (exit 2 at the harness layer, as
+/// for a bad command-line value). Returns the rejection reason, or nullopt
+/// when the plan is usable.
 [[nodiscard]] std::optional<std::string> validate(const FaultPlan& plan);
 
 }  // namespace alert::faults

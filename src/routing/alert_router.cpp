@@ -223,11 +223,10 @@ void AlertRouter::transmit_with_camouflage(net::Node& source,
 }
 
 void AlertRouter::arm_confirm_timer(std::uint32_t flow, std::uint32_t seq) {
-  const std::uint64_t key = confirm_key(flow, seq);
-  auto it = pending_.find(key);
-  if (it == pending_.end()) return;
-  it->second.timer = net_.simulator().schedule_in(
-      config_.confirm_timeout_s, [this, flow, seq] { resend(flow, seq); });
+  // Never cancelled: resend() finds nothing pending once the packet is
+  // confirmed or given up.
+  net_.simulator().schedule_in(config_.confirm_timeout_s,
+                               [this, flow, seq] { resend(flow, seq); });
 }
 
 void AlertRouter::resend(std::uint32_t flow, std::uint32_t seq) {

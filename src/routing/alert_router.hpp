@@ -103,7 +103,6 @@ class AlertRouter final : public Protocol {
   struct PendingConfirm {
     net::Packet packet;  ///< resend copy
     int retries_left = 0;
-    sim::EventId timer = 0;
   };
 
   /// Existing or freshly-established flow session state; nullptr when the

@@ -8,14 +8,14 @@
 
 namespace alert::sim {
 
-EventId Simulator::schedule_in(Time delay, EventQueue::Action action) {
+void Simulator::schedule_in(Time delay, EventQueue::Action action) {
   ALERT_INVARIANT(delay >= 0.0, "negative scheduling delay");
-  return queue_.schedule(now_ + delay, std::move(action));
+  queue_.schedule(now_ + delay, std::move(action));
 }
 
-EventId Simulator::schedule_at(Time when, EventQueue::Action action) {
+void Simulator::schedule_at(Time when, EventQueue::Action action) {
   ALERT_INVARIANT(when >= now_, "scheduling into the past");
-  return queue_.schedule(when, std::move(action));
+  queue_.schedule(when, std::move(action));
 }
 
 namespace {

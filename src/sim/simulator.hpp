@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 
 #include "obs/profile.hpp"
 #include "sim/event_queue.hpp"
@@ -30,16 +29,14 @@ class Simulator {
   [[nodiscard]] Time now() const { return now_; }
 
   /// Schedule `action` to run `delay` seconds from now (delay >= 0).
-  EventId schedule_in(Time delay, EventQueue::Action action);
+  void schedule_in(Time delay, EventQueue::Action action);
 
   /// Schedule at an absolute time (must not be in the past).
-  EventId schedule_at(Time when, EventQueue::Action action);
+  void schedule_at(Time when, EventQueue::Action action);
 
   /// Schedule `action` every `period` seconds starting at `start`, until the
   /// simulation horizon. The action keeps rescheduling itself.
   void schedule_periodic(Time start, Time period, std::function<void()> action);
-
-  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Run until the queue drains or the clock passes `horizon`. Events
   /// scheduled at exactly the horizon still fire. Returns the number of

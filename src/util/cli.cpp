@@ -16,16 +16,16 @@ std::optional<CliArgs> CliArgs::parse(int argc, const char* const* argv,
     token.erase(0, 2);
     const std::size_t eq = token.find('=');
     if (eq != std::string::npos) {
-      args.values_[token.substr(0, eq)] = {token.substr(eq + 1), false};
+      args.values_[token.substr(0, eq)].text = token.substr(eq + 1);
       continue;
     }
     // `--key value` when the next token is not itself a flag; otherwise a
     // boolean `--flag`.
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.values_[token] = {argv[i + 1], false};
+      args.values_[token].text = argv[i + 1];
       ++i;
     } else {
-      args.values_[token] = {"true", false};
+      args.values_[token].text = "true";
     }
   }
   return args;
@@ -35,21 +35,25 @@ std::string CliArgs::get(const std::string& key,
                          const std::string& fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  it->second.second = true;
-  return it->second.first;
+  it->second.read = true;
+  return it->second.text;
 }
 
 namespace {
 
 /// The typed getters: a value that does not parse whole (util/parse.hpp)
-/// stays unconsumed, so the driver's unused() check reports it.
-template <typename T, typename Parse>
-T get_parsed(std::map<std::string, std::pair<std::string, bool>>& values,
-             const std::string& key, T fallback, Parse parse) {
+/// yields the fallback and is marked refused for rejection() to report.
+template <typename T, typename Values, typename Parse>
+T get_parsed(Values& values, const std::string& key, T fallback,
+             Parse parse) {
   const auto it = values.find(key);
+  if (it == values.end()) return fallback;
   T value{};
-  if (it == values.end() || !parse(it->second.first, &value)) return fallback;
-  it->second.second = true;
+  if (!parse(it->second.text, &value)) {
+    it->second.refused = true;
+    return fallback;
+  }
+  it->second.read = true;
   return value;
 }
 
@@ -81,9 +85,18 @@ CommonFlags CommonFlags::from(const CliArgs& args) {
 std::vector<std::string> CliArgs::unused() const {
   std::vector<std::string> out;
   for (const auto& [key, value] : values_) {
-    if (!value.second) out.push_back(key);
+    if (!value.read || value.refused) out.push_back(key);
   }
   return out;
+}
+
+std::optional<std::string> CliArgs::rejection() const {
+  std::optional<std::string> unknown;
+  for (const auto& [key, value] : values_) {
+    if (value.refused) return "bad value '" + value.text + "' for --" + key;
+    if (!value.read && !unknown) unknown = "unknown flag --" + key;
+  }
+  return unknown;
 }
 
 }  // namespace alert::util

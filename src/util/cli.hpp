@@ -5,8 +5,8 @@
 /// `--key=value` / `--key value` / boolean `--flag`. No dependencies,
 /// deterministic error reporting, typed getters with defaults. The typed
 /// getters parse strictly (util/parse.hpp): a value such as `--reps 3x`
-/// returns the fallback and stays unconsumed, so every driver's unused()
-/// check rejects it like a typo.
+/// returns the fallback and is marked refused, so the driver's
+/// rejection() check reports it as a bad value, not as a typo.
 
 #include <cstdint>
 #include <map>
@@ -38,8 +38,19 @@ class CliArgs {
   /// could not parse.
   [[nodiscard]] std::vector<std::string> unused() const;
 
+  /// The usage error for the first flag the program cannot honour, or
+  /// nullopt: "bad value 'V' for --KEY" for a value a typed getter refused
+  /// (reported first, even if a later getter read the raw text), else
+  /// "unknown flag --KEY" for a key nothing read.
+  [[nodiscard]] std::optional<std::string> rejection() const;
+
  private:
-  mutable std::map<std::string, std::pair<std::string, bool>> values_;
+  struct Value {
+    std::string text;
+    bool read = false;     ///< a getter returned it
+    bool refused = false;  ///< a typed getter could not parse it
+  };
+  mutable std::map<std::string, Value> values_;
 };
 
 /// Observability flags shared by every alertsim driver binary (figure
@@ -49,14 +60,14 @@ class CliArgs {
 ///   --metrics-out=FILE  run-manifest JSON (config, seed, digests, metrics,
 ///                       profile, series) — schema alertsim-run-manifest/1
 ///   --log-level=LEVEL   none|error|warn|info|debug (default none)
-///   --reps=N            replications per point (overrides ALERTSIM_REPS)
+///   --reps=N            replications per point
 ///   --threads=N         worker threads for replication fan-out
 ///                       (0 = hardware concurrency, the default)
 struct CommonFlags {
   std::string trace_out;
   std::string metrics_out;
   std::string log_level = "none";
-  std::int64_t reps = 0;     ///< 0 = ALERTSIM_REPS / bench default
+  std::int64_t reps = 0;     ///< 0 = the driver's default
   std::int64_t threads = 0;  ///< 0 = hardware concurrency
 
   /// Extract (and mark consumed) the shared keys from parsed args.

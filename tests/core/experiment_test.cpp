@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 namespace alert::core {
 namespace {
 
@@ -145,26 +143,6 @@ TEST(Experiment, AttacksOnlyRunWhenRequested) {
   cfg.protocol = ProtocolKind::Gpsr;
   const RunResult on = run_once(cfg, 0);
   EXPECT_GT(on.timing_source_rate, 0.5);  // GPSR is exposed
-}
-
-TEST(Experiment, BenchReplicationsHonoursEnv) {
-  ::unsetenv("ALERTSIM_REPS");
-  EXPECT_EQ(bench_replications(10), 10u);
-  ::setenv("ALERTSIM_REPS", "4", 1);
-  EXPECT_EQ(bench_replications(10), 4u);
-  ::unsetenv("ALERTSIM_REPS");
-}
-
-TEST(ExperimentDeathTest, BenchReplicationsRejectsBadEnv) {
-  // A typo'd ALERTSIM_REPS must never silently fall back — a user asking
-  // for 30 replications and getting 10 wastes hours of sweeps.
-  for (const char* bad : {"junk", "0", "-3", "10x", "999999999999999999999"}) {
-    ::setenv("ALERTSIM_REPS", bad, 1);
-    EXPECT_EXIT((void)bench_replications(10), ::testing::ExitedWithCode(2),
-                "is invalid")
-        << "ALERTSIM_REPS=" << bad;
-  }
-  ::unsetenv("ALERTSIM_REPS");
 }
 
 TEST(Scenario, ProtocolNames) {

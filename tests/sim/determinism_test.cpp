@@ -95,6 +95,39 @@ TEST(Determinism, HoldsForEveryProtocol) {
   }
 }
 
+TEST(Determinism, DigestsArePinned) {
+  // One short replication per protocol, plus ALERT over an i.i.d. lossy
+  // channel with ARQ on. A change that reorders, adds or drops one event
+  // fails here; only one that bumps core::kSimulationEpoch may re-pin.
+  struct Pin {
+    core::ProtocolKind protocol;
+    bool lossy;
+    std::uint64_t digest;
+    std::uint64_t events;
+  };
+  const Pin pins[] = {
+      {core::ProtocolKind::Alert, false, 0x1df29ef78f082447ULL, 4769},
+      {core::ProtocolKind::Gpsr, false, 0x1beed46ebbb7af08ULL, 2769},
+      {core::ProtocolKind::Alarm, false, 0x10b5ea59532f6c59ULL, 2776},
+      {core::ProtocolKind::Ao2p, false, 0xa69d76901de5954aULL, 2771},
+      {core::ProtocolKind::Zap, false, 0x97a73d15959434f0ULL, 3003},
+      {core::ProtocolKind::Alert, true, 0x49d79d29db2a4232ULL, 5434},
+  };
+  for (const Pin& pin : pins) {
+    core::ScenarioConfig cfg = small_scenario(pin.protocol, 11);
+    if (pin.lossy) {
+      cfg.faults.loss.iid = 0.2;
+      cfg.mac.arq.enabled = true;
+    }
+    const core::RunResult run = core::run_once(cfg, 0);
+    EXPECT_EQ(run.trace_digest, pin.digest)
+        << core::protocol_name(pin.protocol) << (pin.lossy ? " lossy" : "")
+        << std::hex << " digest 0x" << run.trace_digest;
+    EXPECT_EQ(run.events_executed, pin.events)
+        << core::protocol_name(pin.protocol) << (pin.lossy ? " lossy" : "");
+  }
+}
+
 TEST(Determinism, LedgerAccountsForEveryPacket) {
   // After a full replication the ledger must balance: every uid delivered,
   // dropped, or expired — none forgotten.

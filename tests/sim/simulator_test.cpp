@@ -68,15 +68,6 @@ TEST(Simulator, RunUntilReturnsEventCount) {
   EXPECT_EQ(s.events_executed(), 5u);
 }
 
-TEST(Simulator, CancelScheduledEvent) {
-  Simulator s;
-  bool ran = false;
-  const EventId id = s.schedule_in(1.0, [&] { ran = true; });
-  EXPECT_TRUE(s.cancel(id));
-  s.run_until(5.0);
-  EXPECT_FALSE(ran);
-}
-
 TEST(Simulator, ResumableAcrossHorizons) {
   Simulator s;
   std::vector<double> times;

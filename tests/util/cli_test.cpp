@@ -122,6 +122,26 @@ TEST(Cli, CommonFlagsLeaveBadNumbersUnused) {
   EXPECT_EQ(args->unused(), (std::vector<std::string>{"reps", "threads"}));
 }
 
+TEST(Cli, RejectionNamesUnreadKeys) {
+  const auto args = parse({"--used=1", "--typo=2"});
+  ASSERT_TRUE(args);
+  (void)args->get("used", std::int64_t{0});
+  EXPECT_EQ(args->rejection(), "unknown flag --typo");
+  (void)args->get("typo", std::string());
+  EXPECT_EQ(args->rejection(), std::nullopt);
+}
+
+TEST(Cli, RejectionReportsBadValuesFirst) {
+  const auto args = parse({"--a=unread", "--reps", "3x"});
+  ASSERT_TRUE(args);
+  EXPECT_EQ(args->get("reps", std::int64_t{7}), 7);
+  EXPECT_EQ(args->rejection(), "bad value '3x' for --reps");
+  // Reading the raw text afterwards does not take the refusal back.
+  EXPECT_EQ(args->get("reps", std::string()), "3x");
+  EXPECT_EQ(args->rejection(), "bad value '3x' for --reps");
+  EXPECT_EQ(args->unused(), (std::vector<std::string>{"a", "reps"}));
+}
+
 TEST(Cli, NegativeAndExponentNumbersParse) {
   const auto args = parse({"--threads", "-1", "--scale=1e-3"});
   ASSERT_TRUE(args);

@@ -253,8 +253,8 @@ int main(int argc, char** argv) {
     std::cerr << "alertsim-analyzer: unknown --format '" << format << "'\n";
     return 2;
   }
-  for (const std::string& key : args->unused()) {
-    std::cerr << "alertsim-analyzer: unknown flag --" << key << '\n';
+  if (const auto bad = args->rejection()) {
+    std::cerr << "alertsim-analyzer: " << *bad << '\n';
     return 2;
   }
   if (!fs::is_directory(options.root)) {

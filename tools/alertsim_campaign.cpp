@@ -16,6 +16,7 @@
 //   Cache control: --cache-dir DIR | --no-cache | --force
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -25,6 +26,7 @@
 #include "campaign/engine.hpp"
 #include "campaign/figures.hpp"
 #include "campaign/spec.hpp"
+#include "core/experiment.hpp"
 #include "obs/series.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
@@ -73,15 +75,17 @@ int main(int argc, char** argv) {
         "--metrics-out is not a campaign flag: pass --out-dir DIR, and the "
         "manifest is written to DIR/<name>.json");
   }
-  for (const auto& key : args->unused()) {
-    return usage(("unknown flag --" + key).c_str());
-  }
+  if (const auto bad = args->rejection()) return usage(bad->c_str());
   if (const auto level = util::parse_log_level(flags.log_level)) {
     util::set_log_level(*level);
   } else {
     return usage(("bad --log-level=" + flags.log_level).c_str());
   }
-  if (flags.reps < 0) return usage("--reps must be >= 0");
+  if (flags.reps < 0 ||
+      static_cast<std::uint64_t>(flags.reps) > core::kMaxReplications) {
+    const std::string limit = std::to_string(core::kMaxReplications);
+    return usage(("--reps must be in 0.." + limit).c_str());
+  }
   if (flags.threads < 0) return usage("--threads must be >= 0");
   base_options.reps = static_cast<std::size_t>(flags.reps);
   base_options.threads = static_cast<std::size_t>(flags.threads);

@@ -234,9 +234,7 @@ int main(int argc, char** argv) {
   perf::CompareOptions compare;
   compare.tolerance_scale = args->get("scale", 1.0);
 
-  for (const auto& key : args->unused()) {
-    return usage(("unknown flag --" + key).c_str());
-  }
+  if (const auto bad = args->rejection()) return usage(bad->c_str());
   if (const auto level = util::parse_log_level(log_level)) {
     util::set_log_level(*level);
   } else {

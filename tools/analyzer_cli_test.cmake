@@ -1,6 +1,7 @@
 # Flag-surface check for alertsim-analyzer: the flags of the deleted header
-# compile pass and diff mode are unknown flags, and a negative --threads is
-# a usage error. Invoked by the lint.analyzer_rejects_flags ctest entry as:
+# compile pass and diff mode are unknown flags, and a negative or unparsable
+# --threads is a usage error. Invoked by the lint.analyzer_rejects_flags
+# ctest entry as:
 #   cmake -DANALYZER=<tool> -P analyzer_cli_test.cmake
 
 if(NOT DEFINED ANALYZER)
@@ -16,3 +17,4 @@ expect_usage_error("unknown flag --skip-headers" --skip-headers)
 expect_usage_error("unknown flag --cxx" --cxx g++)
 expect_usage_error("unknown flag --diff-base" --diff-base origin/main)
 expect_usage_error("--threads must be >= 0" --threads=-1)
+expect_usage_error("bad value 'abc' for --threads" --threads abc)

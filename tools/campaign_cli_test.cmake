@@ -26,10 +26,15 @@ foreach(flag worker worker-id workers aggregate lease-ttl max-retries
   expect_usage_error("unknown flag --${flag}" --${flag} 1)
 endforeach()
 
-# A number that does not parse whole stays unconsumed, as a typo does:
-# "--reps 3x" is a usage error, never 3 reps.
-expect_usage_error("unknown flag --reps" --reps 3x)
-expect_usage_error("unknown flag --threads" --threads abc)
+# A number that does not parse whole is a usage error that names the value,
+# never 3 reps and never an "unknown flag".
+expect_usage_error("bad value '3x' for --reps" --reps 3x)
+expect_usage_error("bad value 'abc' for --threads" --threads abc)
+
+# --reps is bounded as alertsim_cli and the spec loader bound it. The
+# figure is analytical (no units), so even a driver that accepted the value
+# would expand nothing.
+expect_usage_error("--reps must be in 0\\.\\.100000" --reps 100001)
 
 # A spec load error names the file once.
 set(bad_spec "${OUT}/bad_key.json")
@@ -42,7 +47,8 @@ expect_usage_error(
   --spec "${bad_spec}")
 
 # An invalid point is reported once, by the main thread, before any unit
-# runs — not once per pool worker that reaches it.
+# runs — not once per pool worker that reaches it — and before the
+# campaign's banner: stdout stays empty.
 set(bad_point "${OUT}/one_node.json")
 file(WRITE "${bad_point}" [=[{"schema": "alertsim-campaign-spec/1", "name": "one_node",
  "y_metric": "delivery_rate", "base": {"node_count": 1},
@@ -52,11 +58,14 @@ execute_process(
   COMMAND "${CAMPAIGN}" --spec "${bad_point}" --threads 2 --no-cache
           --out-dir "${OUT}"
   RESULT_VARIABLE rc
-  OUTPUT_QUIET
+  OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 string(REGEX MATCHALL "invalid scenario" reports "${err}")
 list(LENGTH reports n)
 if(NOT rc EQUAL 2 OR NOT n EQUAL 1)
   message(FATAL_ERROR
           "invalid point: expected exit 2 and one report, got '${rc}':\n${err}")
+endif()
+if(NOT out STREQUAL "")
+  message(FATAL_ERROR "invalid point: expected empty stdout, got:\n${out}")
 endif()
