@@ -182,7 +182,7 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
       pool.submit([&spec, &options, &results, &cache, &journal, &cache_hits,
                    &executed, &done, &unit, total = grid.units.size()] {
         bool cached = false;
-        if (cache != nullptr && !options.force) {
+        if (cache != nullptr) {
           if (auto hit = cache->load(unit.key)) {
             // Writes are disjoint: `results` is pre-sized and every unit
             // owns exactly one slot, so no two tasks touch the same entry.

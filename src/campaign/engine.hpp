@@ -43,7 +43,6 @@ struct CampaignOptions {
   /// Cache root; empty = default_cache_root(). Ignored when !use_cache.
   std::string cache_dir;
   bool use_cache = true;
-  bool force = false;  ///< execute even on hit, refreshing the entry
   /// Structured trace of the first unit (point 0, replication 0). A cached
   /// first unit is re-executed for the trace side effect only — its cached
   /// result still feeds the manifest, keeping the bytes identical.

@@ -13,7 +13,6 @@ const char* tx_kind(net::PacketKind k) {
     case net::PacketKind::Confirm: return "tx.confirm";
     case net::PacketKind::Nak: return "tx.nak";
     case net::PacketKind::Cover: return "tx.cover";
-    case net::PacketKind::IdDissemination: return "tx.id_dissemination";
   }
   return "tx";
 }
@@ -27,7 +26,6 @@ const char* packet_kind_name(net::PacketKind kind) {
     case net::PacketKind::Confirm: return "confirm";
     case net::PacketKind::Nak: return "nak";
     case net::PacketKind::Cover: return "cover";
-    case net::PacketKind::IdDissemination: return "id_dissemination";
   }
   return "unknown";
 }

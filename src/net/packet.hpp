@@ -34,7 +34,6 @@ enum class PacketKind : std::uint8_t {
   Confirm,          ///< destination's delivery confirmation (RREP role)
   Nak,              ///< negative acknowledgement (data field empty)
   Cover,            ///< notify-and-go cover traffic (TTL=0 equivalent)
-  IdDissemination,  ///< ALARM periodic identity flooding
 };
 
 /// ALERT-specific header fields (Fig. 4).
@@ -74,13 +73,13 @@ struct AlertFields {
   bool countermeasure_second_step = false;
 };
 
-/// Fields used by the geographic baselines (GPSR/ALARM/AO2P).
+/// GPSR leg state: the geographic baselines (GPSR/ALARM/AO2P) and ALERT's
+/// fallback leg toward the destination zone.
 struct GeoFields {
   util::Vec2 dest_pos;             ///< where the protocol believes D is
   /// GPSR perimeter-mode state (Karp & Kung).
   bool perimeter_mode = false;
   util::Vec2 perimeter_entry;      ///< L_p: where greedy failed
-  util::Vec2 face_cross_start;     ///< first edge point of current face walk
   NodeId perimeter_first_hop = kInvalidNode;
 };
 

@@ -8,9 +8,6 @@
 /// when a Profiler is attached and a single null check when not. Profiling
 /// reads the host clock but never feeds the determinism digest, so enabling
 /// it cannot change simulation results (see docs/OBSERVABILITY.md).
-///
-/// ALERT_OBS_TIMED compiles to nothing under ALERTSIM_NO_OBS, giving a
-/// hard zero-cost build for perf-critical release binaries.
 
 #include <chrono>
 #include <cstdint>
@@ -97,18 +94,10 @@ class ScopeTimer {
 
 }  // namespace alert::obs
 
-// Compile-time gate: -DALERTSIM_NO_OBS strips every timed scope from the
-// binaries (the runtime null-check fast path is already <1ns, but the hard
-// switch exists for perf forensics and for proving the instrumentation
-// inert).
-#if defined(ALERTSIM_NO_OBS)
-#define ALERT_OBS_TIMED(profiler, id) \
-  do {                                \
-  } while (0)
-#else
 #define ALERT_OBS_TIMED_CONCAT2(a, b) a##b
 #define ALERT_OBS_TIMED_CONCAT(a, b) ALERT_OBS_TIMED_CONCAT2(a, b)
+/// Time the rest of the enclosing block as scope `id` of `profiler` (one
+/// null check when no profiler is attached).
 #define ALERT_OBS_TIMED(profiler, id)                     \
   ::alert::obs::ScopeTimer ALERT_OBS_TIMED_CONCAT(        \
       alert_obs_timer_, __LINE__)(profiler, id)
-#endif

@@ -2,16 +2,12 @@
 
 #include <cmath>
 
-#include "routing/geo_forwarding.hpp"
-
 namespace alert::routing {
 
 AlarmRouter::AlarmRouter(net::Network& network,
                          loc::LocationService& location, AlarmConfig config)
-    : Protocol(network, location), config_(config) {
-  init_profiling("alarm");
+    : GeoRouter(network, location, "alarm"), config_(config) {
   map_.resize(net_.size());
-  attach_to_all();
   refresh_map();
   net_.simulator().schedule_periodic(config_.dissemination_period_s,
                                      config_.dissemination_period_s,
@@ -53,52 +49,20 @@ void AlarmRouter::send(net::NodeId src, net::NodeId dst,
                        std::uint32_t seq) {
   ALERT_OBS_TIMED(profiler_, send_scope_);
   net::Node& source = net_.node(src);
-  net::Packet pkt;
-  pkt.kind = net::PacketKind::Data;
-  pkt.src_pseudonym = source.pseudonym();
-  pkt.dst_pseudonym = net_.node(dst).pseudonym();
-  pkt.flow = flow;
-  pkt.seq = seq;
+  net::Packet pkt =
+      make_header(net::PacketKind::Data, source, net_.node(dst).pseudonym(),
+                  dst, flow, seq, config_.max_hops);
   pkt.payload.assign(payload_bytes, 0);
   pkt.geo = net::GeoFields{};
   pkt.geo->dest_pos = map_[dst];  // secure-map position, not loc service
-  pkt.hops_remaining = config_.max_hops;
-  pkt.uid = net_.next_uid();
-  pkt.app_send_time = net_.now();
-  pkt.first_send_time = net_.now();
-  pkt.true_source = src;
-  pkt.true_dest = dst;
   pkt.size_bytes = payload_bytes + header_bytes(pkt);
 
   ++stats_.data_sent;
   forward(source, std::move(pkt));
 }
 
-void AlarmRouter::handle(net::Node& self, const net::Packet& pkt) {
-  ALERT_OBS_TIMED(profiler_, handle_scope_);
-  if (pkt.kind != net::PacketKind::Data) return;
-  if (net_.resolve_pseudonym(pkt.dst_pseudonym) == self.id()) {
-    ++stats_.data_delivered;
-    ledger_close(pkt, net::PacketFate::Delivered);
-    return;
-  }
-  forward(self, pkt);
-}
-
-bool AlarmRouter::reroute_failed(net::Node& self, const net::Packet& pkt) {
-  if (pkt.kind != net::PacketKind::Data || !pkt.geo) return false;
-  forward(self, pkt);
-  return true;
-}
-
 void AlarmRouter::forward(net::Node& self, net::Packet pkt) {
-  if (pkt.hops_remaining <= 0) {
-    ++stats_.data_dropped;
-    ledger_close(pkt, net::PacketFate::Dropped);
-    return;
-  }
-  --pkt.hops_remaining;
-  ++pkt.hop_count;
+  if (!take_hop(pkt)) return;
 
   // Hop-by-hop public-key protection: the sender encrypts with its key and
   // the next hop verifies — this is the dominant latency term (Fig. 14).
@@ -107,28 +71,11 @@ void AlarmRouter::forward(net::Node& self, net::Packet pkt) {
   charge_crypto(self, hop_crypto);
 
   // Purely position-based forwarding over the secure map (as GPSR: the
-  // destination receives only when greedy selection picks it).
-  const util::Vec2 self_pos = self.position(net_.now());
-  if (const auto* next =
-          greedy_next_hop(self, self_pos, pkt.geo->dest_pos)) {
-    ++stats_.forwards;
-    net_.unicast(self, next->pseudonym, std::move(pkt),
-                 config_.per_hop_processing_s + hop_crypto);
-    return;
-  }
-  // Perimeter recovery on the planar graph, as in GPSR.
-  util::Vec2 from = pkt.geo->dest_pos;
-  if (pkt.prev_hop != net::kInvalidNode && pkt.prev_hop != self.id()) {
-    from = net_.node(pkt.prev_hop).position(net_.now());
-  }
-  if (const auto* next = perimeter_next_hop(self, self_pos, from)) {
-    ++stats_.forwards;
-    net_.unicast(self, next->pseudonym, std::move(pkt),
-                 config_.per_hop_processing_s + hop_crypto);
-    return;
-  }
-  ++stats_.data_dropped;
-  ledger_close(pkt, net::PacketFate::Dropped);
+  // destination receives only when greedy selection picks it), with
+  // perimeter recovery on the planar graph.
+  const util::Vec2 target = pkt.geo->dest_pos;
+  greedy_or_perimeter(self, std::move(pkt), target,
+                      config_.per_hop_processing_s + hop_crypto);
 }
 
 }  // namespace alert::routing

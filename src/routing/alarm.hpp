@@ -30,7 +30,7 @@ struct AlarmConfig {
   double per_hop_processing_s = 200e-6;
 };
 
-class AlarmRouter final : public Protocol {
+class AlarmRouter final : public GeoRouter {
  public:
   AlarmRouter(net::Network& network, loc::LocationService& location,
               AlarmConfig config);
@@ -40,8 +40,6 @@ class AlarmRouter final : public Protocol {
   void send(net::NodeId src, net::NodeId dst, std::size_t payload_bytes,
             std::uint32_t flow, std::uint32_t seq) override;
 
-  void handle(net::Node& self, const net::Packet& pkt) override;
-
   /// Position of `id` in the secure map (as of the last dissemination).
   [[nodiscard]] util::Vec2 map_position(net::NodeId id) const {
     return map_[id];
@@ -50,8 +48,7 @@ class AlarmRouter final : public Protocol {
 
  private:
   void refresh_map();
-  void forward(net::Node& self, net::Packet pkt);
-  bool reroute_failed(net::Node& self, const net::Packet& pkt) override;
+  void forward(net::Node& self, net::Packet pkt) override;
   [[nodiscard]] double network_hop_diameter() const;
 
   AlarmConfig config_;

@@ -49,7 +49,7 @@ std::uint64_t hold_key(net::NodeId node, std::uint32_t flow) {
 
 AlertRouter::AlertRouter(net::Network& network,
                          loc::LocationService& location, AlertConfig config)
-    : Protocol(network, location),
+    : Protocol(network, location, "alert"),
       config_(config),
       h_(config.k_anonymity
              ? partitions_for_anonymity(
@@ -57,8 +57,6 @@ AlertRouter::AlertRouter(net::Network& network,
              : config.partitions_h),
       rng_(network.rng().fork(0xA1E47)) {
   assert(h_ >= 1);
-  init_profiling("alert");
-  attach_to_all();
 }
 
 AlertRouter::FlowState* AlertRouter::flow_state(net::NodeId src,
@@ -127,18 +125,9 @@ void AlertRouter::send(net::NodeId src, net::NodeId dst,
     }
   }
 
-  net::Packet pkt;
-  pkt.kind = net::PacketKind::Data;
-  pkt.src_pseudonym = source.pseudonym();
-  pkt.dst_pseudonym = st.dest_pseudonym;
-  pkt.flow = flow;
-  pkt.seq = seq;
-  pkt.uid = net_.next_uid();
-  pkt.app_send_time = net_.now();
-  pkt.first_send_time = net_.now();
-  pkt.true_source = src;
-  pkt.true_dest = dst;
-  pkt.hops_remaining = config_.max_hops;
+  net::Packet pkt = make_header(net::PacketKind::Data, source,
+                                st.dest_pseudonym, dst, flow, seq,
+                                config_.max_hops);
 
   // Payload encrypted under the session key (symmetric, Sec. 2.5). The
   // plaintext is arbitrary application data; we use the seq pattern so
@@ -320,11 +309,7 @@ bool AlertRouter::reroute_failed(net::Node& self, const net::Packet& pkt) {
 
 void AlertRouter::forward(net::Node& self, net::Packet pkt,
                           bool force_partition) {
-  if (pkt.hops_remaining <= 0) {
-    ++stats_.data_dropped;
-    ledger_close(pkt, net::PacketFate::Dropped);
-    return;
-  }
+  if (!take_hop(pkt)) return;
   const util::Vec2 self_pos = self.position(net_.now());
   const util::Rect zd = pkt.alert->dest_zone;
 
@@ -333,8 +318,6 @@ void AlertRouter::forward(net::Node& self, net::Packet pkt,
     return;
   }
 
-  --pkt.hops_remaining;
-  ++pkt.hop_count;
   // The sealed TTL only guards the camouflaged first hop; onward relays
   // forward in the clear (Sec. 2.6).
   if (pkt.hop_count > 1) pkt.alert->ttl_enc.reset();
@@ -351,9 +334,7 @@ void AlertRouter::forward(net::Node& self, net::Packet pkt,
   if (!force_partition) {
     // Relay leg: continue greedily toward the current TD.
     if (const auto* next = greedy_next_hop(self, self_pos, pkt.alert->td)) {
-      ++stats_.forwards;
-      net_.unicast(self, next->pseudonym, std::move(pkt),
-                   config_.per_hop_processing_s);
+      forward_to(self, *next, std::move(pkt), config_.per_hop_processing_s);
       return;
     }
     // No neighbour closer to the TD: this node is the random forwarder
@@ -383,9 +364,7 @@ void AlertRouter::forward(net::Node& self, net::Packet pkt,
       if (const auto* next = greedy_next_hop(self, self_pos, td)) {
         pkt.alert->td = td;
         seal_first_hop_ttl(self, pkt, *next);
-        ++stats_.forwards;
-        net_.unicast(self, next->pseudonym, std::move(pkt),
-                     config_.per_hop_processing_s);
+        forward_to(self, *next, std::move(pkt), config_.per_hop_processing_s);
         return;
       }
     }
@@ -401,59 +380,13 @@ void AlertRouter::forward(net::Node& self, net::Packet pkt,
 }
 
 void AlertRouter::fallback_leg(net::Node& self, net::Packet pkt) {
-  const util::Vec2 self_pos = self.position(net_.now());
-  const util::Vec2 target = pkt.geo->dest_pos;
-
-  // Perimeter-mode exit test: closer to the zone than where greedy failed.
-  if (pkt.geo->perimeter_mode &&
-      util::distance(self_pos, target) <
-          util::distance(pkt.geo->perimeter_entry, target)) {
-    pkt.geo->perimeter_mode = false;
-  }
-  if (!pkt.geo->perimeter_mode) {
-    if (const auto* next = greedy_next_hop(self, self_pos, target)) {
-      seal_first_hop_ttl(self, pkt, *next);
-      ++stats_.forwards;
-      net_.unicast(self, next->pseudonym, std::move(pkt),
-                   config_.per_hop_processing_s);
-      return;
-    }
-    if (!config_.use_perimeter_fallback) {
-      ++stats_.data_dropped;
-      ledger_close(pkt, net::PacketFate::Dropped);
-      return;
-    }
-    pkt.geo->perimeter_mode = true;
-    pkt.geo->perimeter_entry = self_pos;
-    pkt.geo->face_cross_start = target;
-    pkt.geo->perimeter_first_hop = net::kInvalidNode;
-  }
-  util::Vec2 from = pkt.geo->face_cross_start;
-  if (pkt.prev_hop != net::kInvalidNode && pkt.prev_hop != self.id()) {
-    from = net_.node(pkt.prev_hop).position(net_.now());
-  }
-  const auto* next = perimeter_next_hop(self, self_pos, from);
-  if (next == nullptr) {
-    ++stats_.data_dropped;
-    ledger_close(pkt, net::PacketFate::Dropped);
-    return;
-  }
-  const net::NodeId next_id = net_.resolve_pseudonym(next->pseudonym);
-  if (pkt.geo->perimeter_first_hop == net::kInvalidNode) {
-    pkt.geo->perimeter_first_hop = next_id;
-  } else if (next_id == pkt.geo->perimeter_first_hop) {
-    ++stats_.data_dropped;  // walked the whole face: zone unreachable
-    ledger_close(pkt, net::PacketFate::Dropped);
-    return;
-  }
-  ++stats_.forwards;
-  net_.unicast(self, next->pseudonym, std::move(pkt),
-               config_.per_hop_processing_s);
+  const LegHop hop = gpsr_leg(self, pkt, config_.use_perimeter_fallback);
+  if (hop.next == nullptr) return;
+  if (hop.greedy) seal_first_hop_ttl(self, pkt, *hop.next);
+  forward_to(self, *hop.next, std::move(pkt), config_.per_hop_processing_s);
 }
 
 void AlertRouter::deliver_into_zone(net::Node& self, net::Packet pkt) {
-  --pkt.hops_remaining;
-  ++pkt.hop_count;
   pkt.alert->in_dest_zone_phase = true;
   ++stats_.broadcasts;
 
@@ -604,58 +537,29 @@ void AlertRouter::accept_at_destination(net::Node& self,
   if (config_.use_nak) {
     if (pkt.seq > ds.expected_seq) {
       // Gap: NAK the first missing packet (data field empty, Sec. 2.5).
-      send_nak(self, pkt, ds.expected_seq);
+      send_reply(net::PacketKind::Nak, self, pkt, ds.expected_seq);
     }
     ds.received.insert(pkt.seq);
     while (ds.received.contains(ds.expected_seq)) ++ds.expected_seq;
   }
-  if (config_.send_confirmation) send_confirm(self, pkt);
+  if (config_.send_confirmation) {
+    send_reply(net::PacketKind::Confirm, self, pkt, pkt.seq);
+  }
 }
 
-void AlertRouter::send_confirm(net::Node& dest_node,
-                               const net::Packet& data_pkt) {
-  DestState& ds = dest_state_[data_pkt.flow];
+void AlertRouter::send_reply(net::PacketKind kind, net::Node& dest_node,
+                             const net::Packet& data_pkt, std::uint32_t seq) {
+  const DestState& ds = dest_state_[data_pkt.flow];
   if (!ds.have_src_zone) return;
-  net::Packet confirm;
-  confirm.kind = net::PacketKind::Confirm;
-  confirm.src_pseudonym = dest_node.pseudonym();
-  confirm.dst_pseudonym = data_pkt.src_pseudonym;
-  confirm.flow = data_pkt.flow;
-  confirm.seq = data_pkt.seq;
-  confirm.uid = net_.next_uid();
-  confirm.app_send_time = net_.now();
-  confirm.true_source = dest_node.id();
-  confirm.true_dest = data_pkt.true_source;
-  confirm.hops_remaining = config_.max_hops;
-  confirm.alert = net::AlertFields{};
-  confirm.alert->dest_zone = ds.src_zone;  // route back to Z_S
-  confirm.alert->cap_h = static_cast<std::uint8_t>(h_);
-  confirm.alert->next_partition_horizontal = rng_.bernoulli(0.5);
-  confirm.size_bytes = header_bytes(confirm);
-  forward(dest_node, std::move(confirm), /*force_partition=*/true);
-}
-
-void AlertRouter::send_nak(net::Node& dest_node, const net::Packet& data_pkt,
-                           std::uint32_t missing_seq) {
-  DestState& ds = dest_state_[data_pkt.flow];
-  if (!ds.have_src_zone) return;
-  net::Packet nak;
-  nak.kind = net::PacketKind::Nak;
-  nak.src_pseudonym = dest_node.pseudonym();
-  nak.dst_pseudonym = data_pkt.src_pseudonym;
-  nak.flow = data_pkt.flow;
-  nak.seq = missing_seq;
-  nak.uid = net_.next_uid();
-  nak.app_send_time = net_.now();
-  nak.true_source = dest_node.id();
-  nak.true_dest = data_pkt.true_source;
-  nak.hops_remaining = config_.max_hops;
-  nak.alert = net::AlertFields{};
-  nak.alert->dest_zone = ds.src_zone;
-  nak.alert->cap_h = static_cast<std::uint8_t>(h_);
-  nak.alert->next_partition_horizontal = rng_.bernoulli(0.5);
-  nak.size_bytes = header_bytes(nak);  // data field empty in NAKs
-  forward(dest_node, std::move(nak), /*force_partition=*/true);
+  net::Packet reply =
+      make_header(kind, dest_node, data_pkt.src_pseudonym,
+                  data_pkt.true_source, data_pkt.flow, seq, config_.max_hops);
+  reply.alert = net::AlertFields{};
+  reply.alert->dest_zone = ds.src_zone;  // route back to Z_S
+  reply.alert->cap_h = static_cast<std::uint8_t>(h_);
+  reply.alert->next_partition_horizontal = rng_.bernoulli(0.5);
+  reply.size_bytes = header_bytes(reply);  // no data field
+  forward(dest_node, std::move(reply), /*force_partition=*/true);
 }
 
 }  // namespace alert::routing

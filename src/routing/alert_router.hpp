@@ -113,21 +113,22 @@ class AlertRouter final : public Protocol {
   void resend(std::uint32_t flow, std::uint32_t seq);
 
   // --- forwarding --------------------------------------------------------
-  void forward(net::Node& self, net::Packet pkt, bool i_am_rf);
+  void forward(net::Node& self, net::Packet pkt, bool force_partition);
   bool reroute_failed(net::Node& self, const net::Packet& pkt) override;
   /// Seal the TTL of the source's first transmission under the next
   /// relay's public key (Sec. 2.6 camouflage indistinguishability).
   void seal_first_hop_ttl(net::Node& self, net::Packet& pkt,
                           const net::NeighborInfo& next);
-  /// GPSR greedy+perimeter leg toward the destination zone, used when
-  /// randomized TD selection cannot make progress (sparse regions).
+  /// GPSR leg toward the destination zone, used when randomized TD
+  /// selection cannot make progress (sparse regions).
   void fallback_leg(net::Node& self, net::Packet pkt);
   void deliver_into_zone(net::Node& self, net::Packet pkt);
   void on_zone_broadcast(net::Node& self, const net::Packet& pkt);
   void accept_at_destination(net::Node& self, const net::Packet& pkt);
-  void send_confirm(net::Node& dest_node, const net::Packet& data_pkt);
-  void send_nak(net::Node& dest_node, const net::Packet& data_pkt,
-                std::uint32_t missing_seq);
+  /// D's confirmation of `data_pkt` (seq = its seq) or NAK (seq = the
+  /// missing packet), routed back to the source zone.
+  void send_reply(net::PacketKind kind, net::Node& dest_node,
+                  const net::Packet& data_pkt, std::uint32_t seq);
 
   [[nodiscard]] static std::uint64_t confirm_key(std::uint32_t flow,
                                                  std::uint32_t seq) {

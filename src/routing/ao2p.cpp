@@ -1,15 +1,10 @@
 #include "routing/ao2p.hpp"
 
-#include "routing/geo_forwarding.hpp"
-
 namespace alert::routing {
 
 Ao2pRouter::Ao2pRouter(net::Network& network, loc::LocationService& location,
                        Ao2pConfig config)
-    : Protocol(network, location), config_(config) {
-  init_profiling("ao2p");
-  attach_to_all();
-}
+    : GeoRouter(network, location, "ao2p"), config_(config) {}
 
 util::Vec2 Ao2pRouter::virtual_position(util::Vec2 src, util::Vec2 dst) const {
   const util::Vec2 dir = (dst - src).normalized();
@@ -26,54 +21,22 @@ void Ao2pRouter::send(net::NodeId src, net::NodeId dst,
   if (!record) return;
 
   net::Node& source = net_.node(src);
-  net::Packet pkt;
-  pkt.kind = net::PacketKind::Data;
-  pkt.src_pseudonym = source.pseudonym();
-  pkt.dst_pseudonym = record->pseudonym;
-  pkt.flow = flow;
-  pkt.seq = seq;
+  net::Packet pkt = make_header(net::PacketKind::Data, source,
+                                record->pseudonym, dst, flow, seq,
+                                config_.max_hops);
   pkt.payload.assign(payload_bytes, 0);
   pkt.geo = net::GeoFields{};
   // The packet carries only the virtual position — never D's coordinates.
   pkt.geo->dest_pos =
       virtual_position(source.position(net_.now()), record->position);
-  pkt.hops_remaining = config_.max_hops;
-  pkt.uid = net_.next_uid();
-  pkt.app_send_time = net_.now();
-  pkt.first_send_time = net_.now();
-  pkt.true_source = src;
-  pkt.true_dest = dst;
   pkt.size_bytes = payload_bytes + header_bytes(pkt);
 
   ++stats_.data_sent;
   forward(source, std::move(pkt));
 }
 
-void Ao2pRouter::handle(net::Node& self, const net::Packet& pkt) {
-  ALERT_OBS_TIMED(profiler_, handle_scope_);
-  if (pkt.kind != net::PacketKind::Data) return;
-  if (net_.resolve_pseudonym(pkt.dst_pseudonym) == self.id()) {
-    ++stats_.data_delivered;
-    ledger_close(pkt, net::PacketFate::Delivered);
-    return;
-  }
-  forward(self, pkt);
-}
-
-bool Ao2pRouter::reroute_failed(net::Node& self, const net::Packet& pkt) {
-  if (pkt.kind != net::PacketKind::Data || !pkt.geo) return false;
-  forward(self, pkt);
-  return true;
-}
-
 void Ao2pRouter::forward(net::Node& self, net::Packet pkt) {
-  if (pkt.hops_remaining <= 0) {
-    ++stats_.data_dropped;
-    ledger_close(pkt, net::PacketFate::Dropped);
-    return;
-  }
-  --pkt.hops_remaining;
-  ++pkt.hop_count;
+  if (!take_hop(pkt)) return;
 
   // Contention phase (next-hop election among distance classes) plus
   // hop-by-hop public-key protection.
@@ -82,36 +45,17 @@ void Ao2pRouter::forward(net::Node& self, net::Packet pkt) {
                            cost.public_encrypt_s + cost.verify_s;
   charge_crypto(self, cost.public_encrypt_s + cost.verify_s);
 
-  const util::Vec2 self_pos = self.position(net_.now());
+  const double delay = config_.per_hop_processing_s + hop_delay;
   const net::NodeId dest_id = net_.resolve_pseudonym(pkt.dst_pseudonym);
   // D is picked up en route when it becomes a neighbour of the holder.
   for (const auto& n : self.neighbors()) {
     if (net_.resolve_pseudonym(n.pseudonym) == dest_id) {
-      ++stats_.forwards;
-      net_.unicast(self, n.pseudonym, std::move(pkt),
-                   config_.per_hop_processing_s + hop_delay);
+      forward_to(self, n, std::move(pkt), delay);
       return;
     }
   }
-  if (const auto* next =
-          greedy_next_hop(self, self_pos, pkt.geo->dest_pos)) {
-    ++stats_.forwards;
-    net_.unicast(self, next->pseudonym, std::move(pkt),
-                 config_.per_hop_processing_s + hop_delay);
-    return;
-  }
-  util::Vec2 from = pkt.geo->dest_pos;
-  if (pkt.prev_hop != net::kInvalidNode && pkt.prev_hop != self.id()) {
-    from = net_.node(pkt.prev_hop).position(net_.now());
-  }
-  if (const auto* next = perimeter_next_hop(self, self_pos, from)) {
-    ++stats_.forwards;
-    net_.unicast(self, next->pseudonym, std::move(pkt),
-                 config_.per_hop_processing_s + hop_delay);
-    return;
-  }
-  ++stats_.data_dropped;
-  ledger_close(pkt, net::PacketFate::Dropped);
+  const util::Vec2 target = pkt.geo->dest_pos;
+  greedy_or_perimeter(self, std::move(pkt), target, delay);
 }
 
 }  // namespace alert::routing

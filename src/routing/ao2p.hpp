@@ -25,7 +25,7 @@ struct Ao2pConfig {
   double virtual_extension_m = 200.0; ///< how far beyond D the target lies
 };
 
-class Ao2pRouter final : public Protocol {
+class Ao2pRouter final : public GeoRouter {
  public:
   Ao2pRouter(net::Network& network, loc::LocationService& location,
              Ao2pConfig config);
@@ -35,8 +35,6 @@ class Ao2pRouter final : public Protocol {
   void send(net::NodeId src, net::NodeId dst, std::size_t payload_bytes,
             std::uint32_t flow, std::uint32_t seq) override;
 
-  void handle(net::Node& self, const net::Packet& pkt) override;
-
   /// The virtual routing position for a given S-D geometry (exposed for
   /// tests): on the ray S->D, `virtual_extension_m` beyond D, clamped to
   /// the field.
@@ -44,8 +42,7 @@ class Ao2pRouter final : public Protocol {
                                             util::Vec2 dst) const;
 
  private:
-  void forward(net::Node& self, net::Packet pkt);
-  bool reroute_failed(net::Node& self, const net::Packet& pkt) override;
+  void forward(net::Node& self, net::Packet pkt) override;
 
   Ao2pConfig config_;
 };

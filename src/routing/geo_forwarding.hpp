@@ -3,10 +3,16 @@
 /// \file geo_forwarding.hpp
 /// Shared geographic forwarding primitives (GPSR, Karp & Kung): greedy
 /// next-hop selection and right-hand-rule perimeter forwarding on the
-/// Gabriel-planarized neighbour graph. GPSR/ALARM/AO2P use both; ALERT's
-/// legs between RFs use greedy (a local maximum toward a TD *is* the next
-/// random forwarder, Fig. 3) and the destination leg may use perimeter
-/// recovery without compromising anonymity (Sec. 2.7).
+/// Gabriel-planarized neighbour graph. Routers use them through the two
+/// steps of routing::Protocol (router.hpp):
+///  * Protocol::gpsr_leg, stateful GPSR (perimeter entry, exit test and
+///    face-completion drop): GPSR, and ALERT's fallback leg toward the
+///    destination zone (Sec. 2.7 allows face routing between RFs);
+///  * Protocol::greedy_or_perimeter, stateless (greedy, else the right-
+///    hand rule from the previous hop, else drop): ALARM, AO2P, and ZAP's
+///    leg toward the cloaked zone.
+/// ALERT's legs between RFs call greedy_next_hop alone: a local maximum
+/// toward a TD *is* the next random forwarder (Fig. 3).
 
 #include <optional>
 #include <vector>

@@ -1,15 +1,10 @@
 #include "routing/gpsr.hpp"
 
-#include "routing/geo_forwarding.hpp"
-
 namespace alert::routing {
 
 GpsrRouter::GpsrRouter(net::Network& network, loc::LocationService& location,
                        GpsrConfig config)
-    : Protocol(network, location), config_(config) {
-  init_profiling("gpsr");
-  attach_to_all();
-}
+    : GeoRouter(network, location, "gpsr"), config_(config) {}
 
 void GpsrRouter::send(net::NodeId src, net::NodeId dst,
                       std::size_t payload_bytes, std::uint32_t flow,
@@ -19,111 +14,28 @@ void GpsrRouter::send(net::NodeId src, net::NodeId dst,
   if (!record) return;  // location service entirely failed
 
   net::Node& source = net_.node(src);
-  net::Packet pkt;
-  pkt.kind = net::PacketKind::Data;
-  pkt.src_pseudonym = source.pseudonym();
-  pkt.dst_pseudonym = record->pseudonym;
-  pkt.flow = flow;
-  pkt.seq = seq;
+  net::Packet pkt = make_header(net::PacketKind::Data, source,
+                                record->pseudonym, dst, flow, seq,
+                                config_.max_hops);
   pkt.payload.assign(payload_bytes, 0);
   pkt.geo = net::GeoFields{};
   pkt.geo->dest_pos = record->position;
-  pkt.hops_remaining = config_.max_hops;
-  pkt.uid = net_.next_uid();
-  pkt.app_send_time = net_.now();
-  pkt.first_send_time = net_.now();
-  pkt.true_source = src;
-  pkt.true_dest = dst;
   pkt.size_bytes = payload_bytes + header_bytes(pkt);
 
   ++stats_.data_sent;
   forward(source, std::move(pkt));
 }
 
-void GpsrRouter::handle(net::Node& self, const net::Packet& pkt) {
-  ALERT_OBS_TIMED(profiler_, handle_scope_);
-  if (pkt.kind != net::PacketKind::Data) return;
-  if (net_.resolve_pseudonym(pkt.dst_pseudonym) == self.id()) {
-    ++stats_.data_delivered;
-    ledger_close(pkt, net::PacketFate::Delivered);
-    return;
-  }
-  forward(self, pkt);
-}
-
-bool GpsrRouter::reroute_failed(net::Node& self, const net::Packet& pkt) {
-  if (pkt.kind != net::PacketKind::Data || !pkt.geo) return false;
-  forward(self, pkt);
-  return true;
-}
-
 void GpsrRouter::forward(net::Node& self, net::Packet pkt) {
-  if (pkt.hops_remaining <= 0) {
-    ++stats_.data_dropped;
-    ledger_close(pkt, net::PacketFate::Dropped);
-    return;
-  }
-  --pkt.hops_remaining;
-  ++pkt.hop_count;
-
-  const util::Vec2 self_pos = self.position(net_.now());
-  const util::Vec2 dest = pkt.geo->dest_pos;
+  if (!take_hop(pkt)) return;
   // Note: forwarding is purely position-based — a relay never "spots" the
   // destination in its table; D receives the packet only when greedy
   // selection toward the (possibly stale) destination position genuinely
   // picks it. This is what makes GPSR degrade without location updates
   // (Figs. 14b/15b/16b).
-
-  // Perimeter-mode exit test (closer to D than where greedy failed).
-  if (pkt.geo->perimeter_mode &&
-      util::distance(self_pos, dest) <
-          util::distance(pkt.geo->perimeter_entry, dest)) {
-    pkt.geo->perimeter_mode = false;
-  }
-
-  if (!pkt.geo->perimeter_mode) {
-    if (const auto* next = greedy_next_hop(self, self_pos, dest)) {
-      ++stats_.forwards;
-      net_.unicast(self, next->pseudonym, std::move(pkt),
-                   config_.per_hop_processing_s);
-      return;
-    }
-    if (!config_.use_perimeter) {
-      ++stats_.data_dropped;
-      ledger_close(pkt, net::PacketFate::Dropped);
-      return;
-    }
-    // Enter perimeter mode at this local maximum.
-    pkt.geo->perimeter_mode = true;
-    pkt.geo->perimeter_entry = self_pos;
-    pkt.geo->face_cross_start = dest;  // reference direction toward D
-    pkt.geo->perimeter_first_hop = net::kInvalidNode;
-  }
-
-  // Right-hand rule around the face. The reference direction is the edge we
-  // arrived on (or toward D when entering).
-  util::Vec2 from = pkt.geo->face_cross_start;
-  if (pkt.prev_hop != net::kInvalidNode && pkt.prev_hop != self.id()) {
-    from = net_.node(pkt.prev_hop).position(net_.now());
-  }
-  const auto* next = perimeter_next_hop(self, self_pos, from);
-  if (next == nullptr) {
-    ++stats_.data_dropped;
-    ledger_close(pkt, net::PacketFate::Dropped);
-    return;
-  }
-  const net::NodeId next_id = net_.resolve_pseudonym(next->pseudonym);
-  if (pkt.geo->perimeter_first_hop == net::kInvalidNode) {
-    pkt.geo->perimeter_first_hop = next_id;
-  } else if (next_id == pkt.geo->perimeter_first_hop) {
-    // Completed the face without getting closer: unreachable.
-    ++stats_.data_dropped;
-    ledger_close(pkt, net::PacketFate::Dropped);
-    return;
-  }
-  ++stats_.forwards;
-  net_.unicast(self, next->pseudonym, std::move(pkt),
-               config_.per_hop_processing_s);
+  const LegHop hop = gpsr_leg(self, pkt, config_.use_perimeter);
+  if (hop.next == nullptr) return;
+  forward_to(self, *hop.next, std::move(pkt), config_.per_hop_processing_s);
 }
 
 }  // namespace alert::routing

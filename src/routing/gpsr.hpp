@@ -20,7 +20,7 @@ struct GpsrConfig {
   double per_hop_processing_s = 200e-6;  ///< forwarding computation
 };
 
-class GpsrRouter final : public Protocol {
+class GpsrRouter final : public GeoRouter {
  public:
   GpsrRouter(net::Network& network, loc::LocationService& location,
              GpsrConfig config);
@@ -30,11 +30,8 @@ class GpsrRouter final : public Protocol {
   void send(net::NodeId src, net::NodeId dst, std::size_t payload_bytes,
             std::uint32_t flow, std::uint32_t seq) override;
 
-  void handle(net::Node& self, const net::Packet& pkt) override;
-
  private:
-  void forward(net::Node& self, net::Packet pkt);
-  bool reroute_failed(net::Node& self, const net::Packet& pkt) override;
+  void forward(net::Node& self, net::Packet pkt) override;
 
   GpsrConfig config_;
 };

@@ -5,9 +5,17 @@
 /// instance serves the whole network (per-node state lives in vectors
 /// indexed by NodeId); it implements net::PacketHandler and is attached to
 /// every node.
+///
+/// Every router is geographic forwarding plus its own mechanism, so the
+/// forwarding itself lives here once: the packet header, the hop budget,
+/// the forward and the drop (every forward and drop decision passes
+/// through forward_to() and drop()), and the two GPSR steps of
+/// geo_forwarding.hpp with their packet state. GeoRouter adds the delivery
+/// rule the position-addressed baselines (GPSR, ALARM, AO2P) share.
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "loc/location_service.hpp"
 #include "net/network.hpp"
@@ -35,8 +43,11 @@ struct ProtocolStats {
 
 class Protocol : public net::PacketHandler {
  public:
-  Protocol(net::Network& network, loc::LocationService& location)
-      : net_(network), loc_(location) {}
+  /// Attach this protocol as the handler of every node, and resolve its
+  /// routing-decision profiling scopes ("routing.<proto>.send" /
+  /// "routing.<proto>.handle") against the simulator's profiler.
+  Protocol(net::Network& network, loc::LocationService& location,
+           const char* proto);
 
   [[nodiscard]] virtual std::string name() const = 0;
 
@@ -107,20 +118,6 @@ class Protocol : public net::PacketHandler {
     }
   }
 
-  /// Resolve this protocol's routing-decision profiling scopes
-  /// ("routing.<proto>.send" / "routing.<proto>.handle") against the
-  /// simulator's profiler. Called from concrete router constructors —
-  /// name() cannot be virtually dispatched from the base constructor.
-  void init_profiling(const char* proto) {
-    profiler_ = net_.simulator().profiler();
-    if (profiler_ != nullptr) {
-      send_scope_ =
-          profiler_->scope(std::string("routing.") + proto + ".send");
-      handle_scope_ =
-          profiler_->scope(std::string("routing.") + proto + ".handle");
-    }
-  }
-
   /// Record a packet's terminal fate on the network's lifecycle ledger.
   /// Call exactly where the protocol decides the packet is done (delivered
   /// at its destination / given up on); duplicate closes are ignored.
@@ -128,12 +125,60 @@ class Protocol : public net::PacketHandler {
     if (pkt.uid != 0) net_.ledger().close(pkt.uid, fate, net_.now());
   }
 
-  /// Attach this protocol as the handler of every node.
-  void attach_to_all() {
-    for (net::NodeId id = 0; id < net_.size(); ++id) {
-      net_.attach_handler(id, this);
-    }
+  /// A fresh packet of `kind` from `from` to pseudonym `to`: flow and seq,
+  /// a new ledger uid, both send times at now, the simulation-oracle
+  /// endpoints and `max_hops` of hop budget. Payload, size and the
+  /// protocol's own fields are the caller's.
+  [[nodiscard]] net::Packet make_header(net::PacketKind kind,
+                                        const net::Node& from,
+                                        net::Pseudonym to,
+                                        net::NodeId true_dest,
+                                        std::uint32_t flow,
+                                        std::uint32_t seq, int max_hops);
+
+  /// Give up on `pkt`: the protocol drop counter and the Dropped fate.
+  void drop(const net::Packet& pkt) {
+    ++stats_.data_dropped;
+    ledger_close(pkt, net::PacketFate::Dropped);
   }
+
+  /// Unicast `pkt` to neighbour `next` after `delay` of processing.
+  void forward_to(net::Node& self, const net::NeighborInfo& next,
+                  net::Packet pkt, double delay) {
+    ++stats_.forwards;
+    net_.unicast(self, next.pseudonym, std::move(pkt), delay);
+  }
+
+  /// Spend one hop of `pkt`'s budget; false, with the packet dropped, when
+  /// none is left.
+  [[nodiscard]] bool take_hop(net::Packet& pkt) {
+    if (pkt.hops_remaining <= 0) {
+      drop(pkt);
+      return false;
+    }
+    --pkt.hops_remaining;
+    ++pkt.hop_count;
+    return true;
+  }
+
+  /// Stateless geographic step: greedy toward `target`, else the right-
+  /// hand rule from the previous hop, else drop.
+  void greedy_or_perimeter(net::Node& self, net::Packet pkt,
+                           util::Vec2 target, double delay);
+
+  /// A GPSR leg's next hop (null once the packet was dropped) and whether
+  /// greedy chose it.
+  struct LegHop {
+    const net::NeighborInfo* next = nullptr;
+    bool greedy = false;
+  };
+  /// One hop of a GPSR leg toward `pkt.geo->dest_pos`, keeping the
+  /// perimeter state in `pkt.geo`: greedy while it makes progress, the
+  /// right-hand rule around the face from a local maximum (when
+  /// `use_perimeter`) until a node closer than the entry point, and a drop
+  /// at a dead end or once the face is walked without getting closer.
+  [[nodiscard]] LegHop gpsr_leg(net::Node& self, net::Packet& pkt,
+                                bool use_perimeter);
 
   net::Network& net_;
   loc::LocationService& loc_;
@@ -143,6 +188,30 @@ class Protocol : public net::PacketHandler {
   obs::ScopeId handle_scope_ = 0;
   obs::Counter* crypto_ops_ = nullptr;         // owned by the registry
   util::Accumulator* crypto_seconds_ = nullptr;
+
+ private:
+  /// The right-hand rule's reference point: where `pkt` arrived from, or
+  /// `target` when it has no previous hop but its holder.
+  [[nodiscard]] util::Vec2 arrival_point(const net::Node& self,
+                                         const net::Packet& pkt,
+                                         util::Vec2 target) const;
+};
+
+/// The position-addressed baselines (GPSR, ALARM, AO2P): a Data packet is
+/// delivered at the node owning its destination pseudonym, else handed to
+/// the router's forward(), which also re-routes a failed link.
+class GeoRouter : public Protocol {
+ public:
+  using Protocol::Protocol;
+
+  void handle(net::Node& self, const net::Packet& pkt) final;
+
+ protected:
+  /// One forwarding decision at `self`, spending a hop.
+  virtual void forward(net::Node& self, net::Packet pkt) = 0;
+
+ private:
+  bool reroute_failed(net::Node& self, const net::Packet& pkt) final;
 };
 
 }  // namespace alert::routing

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 
-#include "routing/geo_forwarding.hpp"
-
 namespace alert::routing {
 
 ZapRouter::ZapRouter(net::Network& network, loc::LocationService& location,
                      ZapConfig config)
-    : Protocol(network, location),
+    : Protocol(network, location, "zap"),
       config_(config),
-      rng_(network.rng().fork(0x5A9)) {
-  init_profiling("zap");
-  attach_to_all();
-}
+      rng_(network.rng().fork(0x5A9)) {}
 
 util::Rect ZapRouter::cloak(util::Vec2 dest, util::Rng& rng) const {
   const double side = config_.zone_side_m;
@@ -37,22 +32,13 @@ void ZapRouter::send(net::NodeId src, net::NodeId dst,
   if (!record) return;
 
   net::Node& source = net_.node(src);
-  net::Packet pkt;
-  pkt.kind = net::PacketKind::Data;
-  pkt.src_pseudonym = source.pseudonym();
-  pkt.dst_pseudonym = record->pseudonym;
-  pkt.flow = flow;
-  pkt.seq = seq;
+  net::Packet pkt = make_header(net::PacketKind::Data, source,
+                                record->pseudonym, dst, flow, seq,
+                                config_.max_hops);
   pkt.payload.assign(payload_bytes, 0);
   pkt.alert = net::AlertFields{};  // universal zone fields (see header)
   pkt.alert->dest_zone = cloak(record->position, rng_);
   pkt.alert->td = pkt.alert->dest_zone.center();
-  pkt.hops_remaining = config_.max_hops;
-  pkt.uid = net_.next_uid();
-  pkt.app_send_time = net_.now();
-  pkt.first_send_time = net_.now();
-  pkt.true_source = src;
-  pkt.true_dest = dst;
   pkt.size_bytes = payload_bytes + header_bytes(pkt);
 
   ++stats_.data_sent;
@@ -100,42 +86,17 @@ bool ZapRouter::reroute_failed(net::Node& self, const net::Packet& pkt) {
 }
 
 void ZapRouter::forward(net::Node& self, net::Packet pkt) {
-  if (pkt.hops_remaining <= 0) {
-    ++stats_.data_dropped;
-    ledger_close(pkt, net::PacketFate::Dropped);
-    return;
-  }
-  const util::Vec2 self_pos = self.position(net_.now());
-  if (pkt.alert->dest_zone.contains(self_pos)) {
+  if (!take_hop(pkt)) return;
+  if (pkt.alert->dest_zone.contains(self.position(net_.now()))) {
     zone_flood(self, std::move(pkt));
     return;
   }
-  --pkt.hops_remaining;
-  ++pkt.hop_count;
   const util::Vec2 target = pkt.alert->td;
-  if (const auto* next = greedy_next_hop(self, self_pos, target)) {
-    ++stats_.forwards;
-    net_.unicast(self, next->pseudonym, std::move(pkt),
-                 config_.per_hop_processing_s);
-    return;
-  }
-  util::Vec2 from = target;
-  if (pkt.prev_hop != net::kInvalidNode && pkt.prev_hop != self.id()) {
-    from = net_.node(pkt.prev_hop).position(net_.now());
-  }
-  if (const auto* next = perimeter_next_hop(self, self_pos, from)) {
-    ++stats_.forwards;
-    net_.unicast(self, next->pseudonym, std::move(pkt),
-                 config_.per_hop_processing_s);
-    return;
-  }
-  ++stats_.data_dropped;
-  ledger_close(pkt, net::PacketFate::Dropped);
+  greedy_or_perimeter(self, std::move(pkt), target,
+                      config_.per_hop_processing_s);
 }
 
 void ZapRouter::zone_flood(net::Node& self, net::Packet pkt) {
-  --pkt.hops_remaining;
-  ++pkt.hop_count;
   pkt.alert->in_dest_zone_phase = true;
   rebroadcast_done_[pkt.uid ^ (static_cast<std::uint64_t>(self.id())
                                << 40)] = true;

@@ -205,7 +205,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Every mode reads its own flags, then rejects whatever is left.
+  const auto rejected = [&args] {
+    const auto bad = args->rejection();
+    if (bad) std::cerr << "alertsim-analyzer: " << *bad << '\n';
+    return bad.has_value();
+  };
+
   if (args->get("list-rules", false)) {
+    if (rejected()) return 2;
     for (const lint::RuleInfo& r : lint::rule_catalog({})) {
       std::cout << r.id << " — " << r.description << '\n';
     }
@@ -217,6 +225,7 @@ int main(int argc, char** argv) {
         args->get("fixtures", std::string("tools/lint_fixtures"));
     const std::string parity =
         args->get("parity", fixtures + "/parity.expected");
+    if (rejected()) return 2;
     return run_self_test(fixtures, parity);
   }
 
@@ -253,10 +262,7 @@ int main(int argc, char** argv) {
     std::cerr << "alertsim-analyzer: unknown --format '" << format << "'\n";
     return 2;
   }
-  if (const auto bad = args->rejection()) {
-    std::cerr << "alertsim-analyzer: " << *bad << '\n';
-    return 2;
-  }
+  if (rejected()) return 2;
   if (!fs::is_directory(options.root)) {
     std::cerr << "alertsim-analyzer: root '" << options.root
               << "' is not a directory\n";

@@ -13,7 +13,7 @@
 //   alertsim-campaign --all [--reps N] [--threads N]
 //   alertsim-campaign --figure fig14a_latency_vs_nodes
 //   alertsim-campaign --spec specs/my_sweep.json --out-dir results
-//   Cache control: --cache-dir DIR | --no-cache | --force
+//   Cache control: --cache-dir DIR | --no-cache
 
 #include <algorithm>
 #include <cstdint>
@@ -43,7 +43,7 @@ int usage(const char* msg) {
       "usage: alertsim-campaign (--all | --figure NAME | --spec PATH | "
       "--list)\n"
       "       [--reps N] [--threads N] [--out-dir DIR] [--trace-out FILE]\n"
-      "       [--cache-dir DIR] [--no-cache] [--force] [--peak-rss]\n"
+      "       [--cache-dir DIR] [--no-cache] [--peak-rss]\n"
       "       [--log-level L]\n");
   return 2;
 }
@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
   campaign::CampaignOptions base_options;
   base_options.cache_dir = args->get("cache-dir", std::string());
   base_options.use_cache = !args->get("no-cache", false);
-  base_options.force = args->get("force", false);
   base_options.record_peak_rss = args->get("peak-rss", false);
 
   // CommonFlags consumes --metrics-out, but one invocation may write many

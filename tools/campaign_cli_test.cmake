@@ -22,7 +22,7 @@ expect_usage_error("--out-dir DIR.*DIR/<name>\\.json"
                    --metrics-out "${OUT}/m.json")
 
 foreach(flag worker worker-id workers aggregate lease-ttl max-retries
-        dist-summary)
+        dist-summary force)
   expect_usage_error("unknown flag --${flag}" --${flag} 1)
 endforeach()
 
