@@ -1,16 +1,15 @@
 #include "campaign/cache.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <system_error>
 #include <utility>
 
-#include <unistd.h>
-
 #include "campaign/result_codec.hpp"
+#include "util/atomic_file.hpp"
 #include "util/logging.hpp"
 
 namespace alert::campaign {
@@ -59,40 +58,9 @@ bool ResultCache::store(const std::string& key,
     store_errors_.fetch_add(1);
     return false;
   }
-  // Unique temp name in the final directory (rename is atomic within one
-  // filesystem); a process-wide counter disambiguates concurrent writers of
-  // the same key inside this process.
-  // Deliberate process-wide state: the counter only names temp files and
-  // never influences results.
-  static std::atomic<std::uint64_t> sequence{0};  // alert-lint: allow(mutable-global)
-  std::ostringstream tmp_name;
-  tmp_name << final_path.filename().string() << ".tmp."
-           << static_cast<unsigned long>(::getpid()) << "."
-           << sequence.fetch_add(1);
-  const fs::path tmp_path = final_path.parent_path() / tmp_name.str();
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      ALERT_LOG_ERROR("cache: cannot open %s for writing",
-                      tmp_path.string().c_str());
-      store_errors_.fetch_add(1);
-      return false;
-    }
-    write_run_result_json(out, run);
-    if (!out.good()) {
-      ALERT_LOG_ERROR("cache: short write to %s", tmp_path.string().c_str());
-      out.close();
-      fs::remove(tmp_path, ec);
-      store_errors_.fetch_add(1);
-      return false;
-    }
-  }
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    ALERT_LOG_ERROR("cache: rename %s -> %s failed: %s",
-                    tmp_path.string().c_str(), final_path.string().c_str(),
-                    ec.message().c_str());
-    fs::remove(tmp_path, ec);
+  if (!util::write_file_atomic(final_path.string(), [&run](std::ostream& out) {
+        write_run_result_json(out, run);
+      })) {
     store_errors_.fetch_add(1);
     return false;
   }

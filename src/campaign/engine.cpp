@@ -3,12 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
-#include <optional>
-#include <sstream>
-#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -24,28 +19,7 @@ namespace alert::campaign {
 
 bool write_manifest_atomic(const obs::RunManifest& manifest,
                            const std::string& path) {
-  namespace fs = std::filesystem;
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      ALERT_LOG_ERROR("campaign: cannot open '%s' for writing", tmp.c_str());
-      return false;
-    }
-    manifest.write_json(out);
-    if (!out.good()) {
-      ALERT_LOG_ERROR("campaign: short write to '%s'", tmp.c_str());
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    ALERT_LOG_ERROR("campaign: rename '%s' -> '%s' failed: %s", tmp.c_str(),
-                    path.c_str(), ec.message().c_str());
-    return false;
-  }
-  return true;
+  return manifest.write_file(path);
 }
 
 UnitGrid expand_units(const CampaignSpec& spec, std::size_t reps_option,
@@ -249,16 +223,6 @@ CampaignOutcome run_campaign(const CampaignSpec& spec,
         spec.name.c_str(), outcome.cache_store_errors,
         outcome.journal_write_errors);
   }
-
-  obs::MetricsRegistry progress;
-  progress.counter("campaign.units.total").inc(outcome.units_total);
-  progress.counter("campaign.units.cached").inc(outcome.cache_hits);
-  progress.counter("campaign.units.executed").inc(outcome.executed);
-  progress.counter("campaign.cache.store_errors")
-      .inc(outcome.cache_store_errors);
-  progress.counter("campaign.journal.write_errors")
-      .inc(outcome.journal_write_errors);
-  outcome.progress = progress.snapshot();
 
   if (!options.metrics_out.empty()) {
     if (!write_manifest_atomic(manifest, options.metrics_out)) {

@@ -20,9 +20,8 @@
 /// (the repository benchmark) run exactly the engine's expansion,
 /// execution and fold; run_campaign is the composition of the three.
 ///
-/// Per-unit progress is reported through alert::obs counters
-/// (campaign.units.*, exposed on CampaignOutcome::progress) and
-/// ALERT_LOG_INFO lines; neither feeds the manifest.
+/// Per-unit progress is reported through ALERT_LOG_INFO lines and the
+/// counts on CampaignOutcome; neither feeds the manifest.
 
 #include <cstddef>
 #include <cstdint>
@@ -32,7 +31,6 @@
 #include "campaign/spec.hpp"
 #include "core/experiment.hpp"
 #include "obs/manifest.hpp"
-#include "obs/metrics.hpp"
 
 namespace alert::campaign {
 
@@ -68,9 +66,6 @@ struct CampaignOutcome {
   /// in part — surfaced in the driver summary so it is never silent.
   std::size_t cache_store_errors = 0;
   std::size_t journal_write_errors = 0;
-  /// campaign.units.{total,cached,executed} counters, plus
-  /// campaign.cache.store_errors / campaign.journal.write_errors.
-  obs::MetricsSnapshot progress;
   int exit_code = 0;  ///< non-zero when the manifest could not be written
 };
 
@@ -119,9 +114,7 @@ struct UnitGrid {
     const CampaignSpec& spec, const UnitGrid& grid,
     std::vector<core::RunResult>&& results, bool record_peak_rss = false);
 
-/// Write through a temp file + rename so a process killed mid-write can
-/// never leave a torn manifest under the final name. Returns false and
-/// logs on failure.
+/// RunManifest::write_file under the name the repository benchmark calls.
 bool write_manifest_atomic(const obs::RunManifest& manifest,
                            const std::string& path);
 

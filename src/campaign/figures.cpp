@@ -4,9 +4,10 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <functional>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/theory.hpp"
 #include "core/scenario_codec.hpp"
@@ -18,20 +19,9 @@ namespace {
 
 using core::MobilityKind;
 using core::ProtocolKind;
+using Result = core::ExperimentResult;
 
 core::ScenarioConfig base() { return paper_default_scenario(); }
-
-util::SeriesPoint acc_point(double x, const util::Accumulator& a) {
-  return {x, a.mean(), a.ci95_halfwidth()};
-}
-
-util::SeriesPoint acc_ms(double x, const util::Accumulator& a) {
-  return {x, a.mean() * 1e3, a.ci95_halfwidth() * 1e3};
-}
-
-std::string reps_note(std::size_t reps) {
-  return "(reps per point: " + std::to_string(reps) + ")";
-}
 
 __attribute__((format(printf, 1, 2))) std::string format(const char* fmt,
                                                          ...) {
@@ -53,26 +43,111 @@ PointSpec make_point(std::string curve, double x, core::ScenarioConfig cfg,
   return p;
 }
 
-/// Group points into one series per curve (first-appearance order).
-std::vector<util::Series> group_by_curve(
-    const std::vector<PointResult>& points,
-    const std::function<util::SeriesPoint(const PointResult&)>& fn) {
-  std::vector<util::Series> series;
+/// One series named `name`: every point's x and its `acc` times `scale`.
+util::Series metric_series(std::string name,
+                           const std::vector<PointResult>& points,
+                           ResultAccumulator acc, double scale = 1.0) {
+  util::Series series{std::move(name), {}};
   for (const PointResult& pr : points) {
-    util::Series* target = nullptr;
-    for (util::Series& s : series) {
-      if (s.name == pr.spec->curve) {
-        target = &s;
-        break;
-      }
-    }
-    if (target == nullptr) {
-      series.push_back(util::Series{pr.spec->curve, {}});
-      target = &series.back();
-    }
-    target->points.push_back(fn(pr));
+    series.points.push_back(series_point(pr.spec->x, pr.result.*acc, scale));
   }
   return series;
+}
+
+void append(obs::RunManifest& m, std::vector<util::Series> series) {
+  for (util::Series& sr : series) m.series.push_back(std::move(sr));
+}
+
+// --- the paper's comparison grid (Sec. 5.2) and its shared reducers ---------
+
+/// The four protocols the paper compares, in its order.
+constexpr ProtocolKind kPaperProtocols[] = {
+    ProtocolKind::Alert, ProtocolKind::Gpsr, ProtocolKind::Alarm,
+    ProtocolKind::Ao2p};
+
+/// The node speeds of Figs. 13b–17.
+constexpr double kPaperSpeeds[] = {2.0, 4.0, 6.0, 8.0};
+
+/// Figs. 10b, 14a, 15a and 16a: each protocol over 50–200 nodes, one curve
+/// per protocol named `<protocol><suffix>`; `from` sets everything else.
+void sweep_protocols_by_nodes(CampaignSpec& s, const std::string& suffix = "",
+                              const core::ScenarioConfig& from = base()) {
+  for (const ProtocolKind proto : kPaperProtocols) {
+    for (const std::size_t n : {50u, 100u, 150u, 200u}) {
+      core::ScenarioConfig cfg = from;
+      cfg.node_count = n;
+      cfg.protocol = proto;
+      s.points.push_back(
+          make_point(std::string(core::protocol_name(proto)) + suffix,
+                     static_cast<double>(n), std::move(cfg)));
+    }
+  }
+}
+
+struct UpdateVariant {
+  ProtocolKind proto;
+  bool update;
+  const char* name;
+};
+
+/// With and without destination location updates. The first four rows are
+/// ALERT's and GPSR's pairs, which Fig. 16b plots alone.
+constexpr UpdateVariant kSixVariants[] = {
+    {ProtocolKind::Alert, true, "ALERT w/ update"},
+    {ProtocolKind::Alert, false, "ALERT w/o update"},
+    {ProtocolKind::Gpsr, true, "GPSR w/ update"},
+    {ProtocolKind::Gpsr, false, "GPSR w/o update"},
+    {ProtocolKind::Alarm, true, "ALARM"},
+    {ProtocolKind::Ao2p, true, "AO2P"},
+};
+
+/// Figs. 14b, 15b and 16b: each variant over the paper's speeds, one curve
+/// per variant named `<variant><suffix>`.
+void sweep_variants_by_speed(CampaignSpec& s,
+                             std::span<const UpdateVariant> variants,
+                             const std::string& suffix = "") {
+  for (const UpdateVariant& v : variants) {
+    for (const double speed : kPaperSpeeds) {
+      core::ScenarioConfig cfg = base();
+      cfg.protocol = v.proto;
+      cfg.speed_mps = speed;
+      cfg.destination_update = v.update;
+      s.points.push_back(
+          make_point(std::string(v.name) + suffix, speed, std::move(cfg)));
+    }
+  }
+}
+
+/// Figs. 12 and 13a: each curve's destination-zone residency over time.
+void residency_reduce(const std::vector<PointResult>& points,
+                      const ReduceContext& ctx, obs::RunManifest& m) {
+  for (const PointResult& pr : points) {
+    util::Series series{pr.spec->curve, {}};
+    const double period = pr.spec->config.residency_sample_period_s;
+    const auto& samples = pr.result.remaining_by_sample;
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      series.points.push_back(
+          series_point(static_cast<double>(i) * period, samples[i]));
+    }
+    m.series.push_back(std::move(series));
+  }
+  m.notes.push_back(reps_note(ctx.reps));
+}
+
+/// Figs. 15a and 15b: hops per curve, then ALARM's counting the hops of its
+/// map dissemination.
+void hops_reduce(const std::vector<PointResult>& points,
+                 const ReduceContext& ctx, obs::RunManifest& m) {
+  append(m, group_by_curve(points, &Result::hops));
+  util::Series alarm_diss{"ALARM (incl. dissemination)", {}};
+  for (const PointResult& pr : points) {
+    if (pr.spec->curve == "ALARM") {
+      alarm_diss.points.push_back(
+          series_point(pr.spec->x, pr.result.hops_with_control));
+    }
+  }
+  m.series.push_back(std::move(alarm_diss));
+  m.notes.push_back(reps_note(ctx.reps));
 }
 
 // --- Sec. 4 analysis figures (no simulation points) ------------------------
@@ -207,12 +282,12 @@ CampaignSpec fig10a() {
       const auto& cumulative = pr.result.cumulative_participants;
       for (std::size_t p = 0; p < cumulative.size() && p < 20; ++p) {
         series.points.push_back(
-            acc_point(static_cast<double>(p + 1), cumulative[p]));
+            series_point(static_cast<double>(p + 1), cumulative[p]));
       }
       m.series.push_back(std::move(series));
     }
-    m.notes.push_back("(reps per point: " + std::to_string(ctx.reps) +
-                      "; ALARM/AO2P track the GPSR curve)");
+    m.notes.push_back(
+        reps_note(ctx.reps, "; ALARM/AO2P track the GPSR curve"));
   };
   return s;
 }
@@ -225,18 +300,9 @@ CampaignSpec fig10b() {
   s.x_label = "total nodes";
   s.y_label = "distinct nodes";
   s.y_metric = "participants";
-  for (const ProtocolKind proto :
-       {ProtocolKind::Alert, ProtocolKind::Gpsr, ProtocolKind::Alarm,
-        ProtocolKind::Ao2p}) {
-    for (const std::size_t n : {50u, 100u, 150u, 200u}) {
-      core::ScenarioConfig cfg = base();
-      cfg.node_count = n;
-      cfg.protocol = proto;
-      cfg.packets_per_flow = 20;
-      s.points.push_back(make_point(core::protocol_name(proto),
-                                    static_cast<double>(n), std::move(cfg)));
-    }
-  }
+  core::ScenarioConfig cfg = base();
+  cfg.packets_per_flow = 20;
+  sweep_protocols_by_nodes(s, "", cfg);
   return s;
 }
 
@@ -256,15 +322,14 @@ CampaignSpec fig11() {
   }
   s.reduce = [](const std::vector<PointResult>& points,
                 const ReduceContext& ctx, obs::RunManifest& m) {
-    util::Series sim{"ALERT (simulated)", {}};
+    m.series.push_back(metric_series("ALERT (simulated)", points,
+                                     &Result::rf_per_packet));
     util::Series theory{"Eq. 10 (analysis)", {}};
     for (const PointResult& pr : points) {
-      sim.points.push_back(acc_point(pr.spec->x, pr.result.rf_per_packet));
       theory.points.push_back(
           {pr.spec->x,
            analysis::expected_rfs(static_cast<int>(pr.spec->x)), 0.0});
     }
-    m.series.push_back(std::move(sim));
     m.series.push_back(std::move(theory));
     m.notes.push_back("(reps per point: " + std::to_string(ctx.reps) +
                       "; simulated counts sit above the");
@@ -290,20 +355,7 @@ CampaignSpec fig12() {
     s.points.push_back(make_point(std::to_string(n) + " nodes",
                                   static_cast<double>(n), std::move(cfg)));
   }
-  s.reduce = [](const std::vector<PointResult>& points,
-                const ReduceContext& ctx, obs::RunManifest& m) {
-    for (const PointResult& pr : points) {
-      util::Series series{pr.spec->curve, {}};
-      const double period = pr.spec->config.residency_sample_period_s;
-      for (std::size_t i = 0; i < pr.result.remaining_by_sample.size();
-           ++i) {
-        series.points.push_back(acc_point(static_cast<double>(i) * period,
-                                          pr.result.remaining_by_sample[i]));
-      }
-      m.series.push_back(std::move(series));
-    }
-    m.notes.push_back(reps_note(ctx.reps));
-  };
+  s.reduce = residency_reduce;
   return s;
 }
 
@@ -328,20 +380,7 @@ CampaignSpec fig13a() {
           v, std::move(cfg)));
     }
   }
-  s.reduce = [](const std::vector<PointResult>& points,
-                const ReduceContext& ctx, obs::RunManifest& m) {
-    for (const PointResult& pr : points) {
-      util::Series series{pr.spec->curve, {}};
-      const double period = pr.spec->config.residency_sample_period_s;
-      for (std::size_t i = 0; i < pr.result.remaining_by_sample.size();
-           ++i) {
-        series.points.push_back(acc_point(static_cast<double>(i) * period,
-                                          pr.result.remaining_by_sample[i]));
-      }
-      m.series.push_back(std::move(series));
-    }
-    m.notes.push_back(reps_note(ctx.reps));
-  };
+  s.reduce = residency_reduce;
   return s;
 }
 
@@ -354,7 +393,7 @@ CampaignSpec fig13b() {
   s.x_label = "speed (m/s)";
   s.y_label = "nodes";
   const analysis::NetworkShape shape{1000.0, 1000.0, 200.0};
-  for (double v = 2.0; v <= 8.0; v += 2.0) {
+  for (const double v : kPaperSpeeds) {
     const double needed =
         analysis::required_node_count(shape, 5, v, 10.0, 6.0);
     core::ScenarioConfig cfg = base();
@@ -381,12 +420,12 @@ CampaignSpec fig13b() {
       // Sample index 1 is t = +10 s after session start.
       const util::Accumulator& acc =
           samples.size() > 1 ? samples[1] : samples[0];
-      validated.points.push_back(acc_point(pr.spec->x, acc));
+      validated.points.push_back(series_point(pr.spec->x, acc));
     }
     m.series.push_back(std::move(predicted));
     m.series.push_back(std::move(validated));
-    m.notes.push_back("(reps per point: " + std::to_string(ctx.reps) +
-                      "; validated column should sit near k = 6)");
+    m.notes.push_back(
+        reps_note(ctx.reps, "; validated column should sit near k = 6"));
   };
   return s;
 }
@@ -399,35 +438,9 @@ CampaignSpec fig14a() {
   s.x_label = "total nodes";
   s.y_label = "latency (ms)";
   s.y_metric = "latency_ms";
-  for (const ProtocolKind proto :
-       {ProtocolKind::Alert, ProtocolKind::Gpsr, ProtocolKind::Alarm,
-        ProtocolKind::Ao2p}) {
-    for (const std::size_t n : {50u, 100u, 150u, 200u}) {
-      core::ScenarioConfig cfg = base();
-      cfg.node_count = n;
-      cfg.protocol = proto;
-      s.points.push_back(
-          make_point(std::string(core::protocol_name(proto)) + " (ms)",
-                     static_cast<double>(n), std::move(cfg)));
-    }
-  }
+  sweep_protocols_by_nodes(s, " (ms)");
   return s;
 }
-
-struct UpdateVariant {
-  ProtocolKind proto;
-  bool update;
-  const char* name;
-};
-
-constexpr UpdateVariant kSixVariants[] = {
-    {ProtocolKind::Alert, true, "ALERT w/ update"},
-    {ProtocolKind::Alert, false, "ALERT w/o update"},
-    {ProtocolKind::Gpsr, true, "GPSR w/ update"},
-    {ProtocolKind::Gpsr, false, "GPSR w/o update"},
-    {ProtocolKind::Alarm, true, "ALARM"},
-    {ProtocolKind::Ao2p, true, "AO2P"},
-};
 
 CampaignSpec fig14b() {
   CampaignSpec s;
@@ -437,16 +450,7 @@ CampaignSpec fig14b() {
   s.x_label = "speed (m/s)";
   s.y_label = "latency (ms)";
   s.y_metric = "latency_ms";
-  for (const UpdateVariant& v : kSixVariants) {
-    for (double speed = 2.0; speed <= 8.0; speed += 2.0) {
-      core::ScenarioConfig cfg = base();
-      cfg.protocol = v.proto;
-      cfg.speed_mps = speed;
-      cfg.destination_update = v.update;
-      s.points.push_back(make_point(std::string(v.name) + " (ms)", speed,
-                                    std::move(cfg)));
-    }
-  }
+  sweep_variants_by_speed(s, kSixVariants, " (ms)");
   return s;
 }
 
@@ -457,35 +461,8 @@ CampaignSpec fig15a() {
   s.title = "Fig. 15a — hops per packet";
   s.x_label = "total nodes";
   s.y_label = "hops";
-  for (const ProtocolKind proto :
-       {ProtocolKind::Alert, ProtocolKind::Gpsr, ProtocolKind::Alarm,
-        ProtocolKind::Ao2p}) {
-    for (const std::size_t n : {50u, 100u, 150u, 200u}) {
-      core::ScenarioConfig cfg = base();
-      cfg.node_count = n;
-      cfg.protocol = proto;
-      s.points.push_back(make_point(core::protocol_name(proto),
-                                    static_cast<double>(n), std::move(cfg)));
-    }
-  }
-  s.reduce = [](const std::vector<PointResult>& points,
-                const ReduceContext& ctx, obs::RunManifest& m) {
-    std::vector<util::Series> series =
-        group_by_curve(points, [](const PointResult& pr) {
-          return acc_point(pr.spec->x, pr.result.hops);
-        });
-    util::Series alarm_diss{"ALARM (incl. dissemination)", {}};
-    for (const PointResult& pr : points) {
-      if (pr.spec->curve == "ALARM") {
-        alarm_diss.points.push_back(
-            acc_point(pr.spec->x, pr.result.hops_with_control));
-      }
-    }
-    series.push_back(
-        std::move(alarm_diss));
-    for (util::Series& sr : series) m.series.push_back(std::move(sr));
-    m.notes.push_back(reps_note(ctx.reps));
-  };
+  sweep_protocols_by_nodes(s);
+  s.reduce = hops_reduce;
   return s;
 }
 
@@ -496,33 +473,8 @@ CampaignSpec fig15b() {
   s.title = "Fig. 15b — hops per packet vs speed";
   s.x_label = "speed (m/s)";
   s.y_label = "hops";
-  for (const UpdateVariant& v : kSixVariants) {
-    for (double speed = 2.0; speed <= 8.0; speed += 2.0) {
-      core::ScenarioConfig cfg = base();
-      cfg.protocol = v.proto;
-      cfg.speed_mps = speed;
-      cfg.destination_update = v.update;
-      s.points.push_back(make_point(v.name, speed, std::move(cfg)));
-    }
-  }
-  s.reduce = [](const std::vector<PointResult>& points,
-                const ReduceContext& ctx, obs::RunManifest& m) {
-    std::vector<util::Series> series =
-        group_by_curve(points, [](const PointResult& pr) {
-          return acc_point(pr.spec->x, pr.result.hops);
-        });
-    util::Series alarm_diss{"ALARM (incl. dissemination)", {}};
-    for (const PointResult& pr : points) {
-      if (pr.spec->curve == "ALARM") {
-        alarm_diss.points.push_back(
-            acc_point(pr.spec->x, pr.result.hops_with_control));
-      }
-    }
-    series.push_back(
-        std::move(alarm_diss));
-    for (util::Series& sr : series) m.series.push_back(std::move(sr));
-    m.notes.push_back(reps_note(ctx.reps));
-  };
+  sweep_variants_by_speed(s, kSixVariants);
+  s.reduce = hops_reduce;
   return s;
 }
 
@@ -534,17 +486,7 @@ CampaignSpec fig16a() {
   s.x_label = "total nodes";
   s.y_label = "delivery rate";
   s.y_metric = "delivery_rate";
-  for (const ProtocolKind proto :
-       {ProtocolKind::Alert, ProtocolKind::Gpsr, ProtocolKind::Alarm,
-        ProtocolKind::Ao2p}) {
-    for (const std::size_t n : {50u, 100u, 150u, 200u}) {
-      core::ScenarioConfig cfg = base();
-      cfg.node_count = n;
-      cfg.protocol = proto;
-      s.points.push_back(make_point(core::protocol_name(proto),
-                                    static_cast<double>(n), std::move(cfg)));
-    }
-  }
+  sweep_protocols_by_nodes(s);
   return s;
 }
 
@@ -556,21 +498,7 @@ CampaignSpec fig16b() {
   s.x_label = "speed (m/s)";
   s.y_label = "delivery rate";
   s.y_metric = "delivery_rate";
-  const UpdateVariant variants[] = {
-      {ProtocolKind::Alert, true, "ALERT w/ update"},
-      {ProtocolKind::Alert, false, "ALERT w/o update"},
-      {ProtocolKind::Gpsr, true, "GPSR w/ update"},
-      {ProtocolKind::Gpsr, false, "GPSR w/o update"},
-  };
-  for (const UpdateVariant& v : variants) {
-    for (double speed = 2.0; speed <= 8.0; speed += 2.0) {
-      core::ScenarioConfig cfg = base();
-      cfg.protocol = v.proto;
-      cfg.speed_mps = speed;
-      cfg.destination_update = v.update;
-      s.points.push_back(make_point(v.name, speed, std::move(cfg)));
-    }
-  }
+  sweep_variants_by_speed(s, std::span(kSixVariants).first(4));
   return s;
 }
 
@@ -593,7 +521,7 @@ CampaignSpec fig17() {
       {MobilityKind::Group, 5, 200.0, "group (5 x 200 m)"},
   };
   for (const Model& model : models) {
-    for (double speed = 2.0; speed <= 8.0; speed += 2.0) {
+    for (const double speed : kPaperSpeeds) {
       core::ScenarioConfig cfg = base();
       cfg.mobility = model.kind;
       cfg.group_count = model.groups == 0 ? 1 : model.groups;
@@ -610,11 +538,8 @@ CampaignSpec fig17() {
   }
   s.reduce = [](const std::vector<PointResult>& points,
                 const ReduceContext& ctx, obs::RunManifest& m) {
-    std::vector<util::Series> series =
-        group_by_curve(points, [](const PointResult& pr) {
-          return acc_ms(pr.spec->x, pr.result.e2e_delay_s);
-        });
-    for (util::Series& sr : series) m.series.push_back(std::move(sr));
+    append(m,
+           group_by_curve(points, &Result::e2e_delay_s, 1e3));
     m.notes.push_back("mean delivery rates per model/speed (context for the");
     m.notes.push_back("survivorship discussion in EXPERIMENTS.md):");
     std::string current_curve;
@@ -723,9 +648,9 @@ CampaignSpec ablation_intersection() {
       for (const PointResult& pr : points) {
         if (pr.spec->curve != cm) continue;
         freq.points.push_back(
-            acc_point(pr.spec->x, pr.result.intersection_frequency));
+            series_point(pr.spec->x, pr.result.intersection_frequency));
         strict.points.push_back(
-            acc_point(pr.spec->x, pr.result.intersection_success));
+            series_point(pr.spec->x, pr.result.intersection_success));
       }
       m.series.push_back(std::move(freq));
       m.series.push_back(std::move(strict));
@@ -750,24 +675,21 @@ CampaignSpec ablation_h_tradeoff() {
   }
   s.reduce = [](const std::vector<PointResult>& points,
                 const ReduceContext& ctx, obs::RunManifest& m) {
-    util::Series rfs{"RFs/packet (route anon.)", {}};
+    m.series.push_back(metric_series("RFs/packet (route anon.)", points,
+                                     &Result::rf_per_packet));
     util::Series zone_pop{"zone population k (dest anon.)", {}};
-    util::Series hops{"hops/packet (cost)", {}};
-    util::Series latency{"latency ms (cost)", {}};
     for (const PointResult& pr : points) {
-      rfs.points.push_back(acc_point(pr.spec->x, pr.result.rf_per_packet));
-      hops.points.push_back(acc_point(pr.spec->x, pr.result.hops));
-      latency.points.push_back(acc_ms(pr.spec->x, pr.result.latency_s));
       zone_pop.points.push_back(
           {pr.spec->x,
            routing::expected_zone_population(
                200.0, static_cast<int>(pr.spec->x)),
            0.0});
     }
-    m.series.push_back(std::move(rfs));
     m.series.push_back(std::move(zone_pop));
-    m.series.push_back(std::move(hops));
-    m.series.push_back(std::move(latency));
+    m.series.push_back(
+        metric_series("hops/packet (cost)", points, &Result::hops));
+    m.series.push_back(
+        metric_series("latency ms (cost)", points, &Result::latency_s, 1e3));
     m.notes.push_back(
         "Reading: route anonymity (RFs) buys linearly with H while the");
     m.notes.push_back(
@@ -799,21 +721,14 @@ CampaignSpec ablation_notify_and_go() {
   }
   s.reduce = [](const std::vector<PointResult>& points,
                 const ReduceContext& ctx, obs::RunManifest& m) {
-    util::Series attack{"timing src-id rate", {}};
-    util::Series latency{"latency (ms)", {}};
-    util::Series covers{"cover pkts per data", {}};
-    for (const PointResult& pr : points) {
-      attack.points.push_back(
-          acc_point(pr.spec->x, pr.result.timing_source_rate));
-      latency.points.push_back(acc_ms(pr.spec->x, pr.result.latency_s));
-      covers.points.push_back(
-          acc_point(pr.spec->x, pr.result.cover_per_data));
-    }
-    m.series.push_back(std::move(attack));
-    m.series.push_back(std::move(latency));
-    m.series.push_back(std::move(covers));
-    m.notes.push_back("(reps per point: " + std::to_string(ctx.reps) +
-                      "; t0 = 0 row is the mechanism disabled)");
+    m.series.push_back(metric_series("timing src-id rate", points,
+                                     &Result::timing_source_rate));
+    m.series.push_back(
+        metric_series("latency (ms)", points, &Result::latency_s, 1e3));
+    m.series.push_back(
+        metric_series("cover pkts per data", points, &Result::cover_per_data));
+    m.notes.push_back(
+        reps_note(ctx.reps, "; t0 = 0 row is the mechanism disabled"));
   };
   return s;
 }
@@ -832,15 +747,10 @@ CampaignSpec ablation_pseudonym_period() {
   }
   s.reduce = [](const std::vector<PointResult>& points,
                 const ReduceContext& ctx, obs::RunManifest& m) {
-    util::Series delivery{"delivery rate", {}};
-    util::Series latency{"latency (ms)", {}};
-    for (const PointResult& pr : points) {
-      delivery.points.push_back(
-          acc_point(pr.spec->x, pr.result.delivery_rate));
-      latency.points.push_back(acc_ms(pr.spec->x, pr.result.latency_s));
-    }
-    m.series.push_back(std::move(delivery));
-    m.series.push_back(std::move(latency));
+    m.series.push_back(
+        metric_series("delivery rate", points, &Result::delivery_rate));
+    m.series.push_back(
+        metric_series("latency (ms)", points, &Result::latency_s, 1e3));
     m.notes.push_back(
         "Short periods perturb routing (stale neighbour entries point at");
     m.notes.push_back(
@@ -858,9 +768,7 @@ CampaignSpec energy_per_packet() {
   s.x_label = "protocol idx";
   s.y_label = "see column names";
   double x = 0.0;
-  for (const ProtocolKind proto :
-       {ProtocolKind::Alert, ProtocolKind::Gpsr, ProtocolKind::Alarm,
-        ProtocolKind::Ao2p}) {
+  for (const ProtocolKind proto : kPaperProtocols) {
     core::ScenarioConfig cfg = base();
     cfg.protocol = proto;
     s.points.push_back(make_point(core::protocol_name(proto), x,
@@ -869,24 +777,20 @@ CampaignSpec energy_per_packet() {
   }
   s.reduce = [](const std::vector<PointResult>& points,
                 const ReduceContext& ctx, obs::RunManifest& m) {
-    util::Series per_pkt{"J per delivered packet", {}};
+    m.series.push_back(metric_series("J per delivered packet", points,
+                                     &Result::energy_per_delivered_j));
     util::Series crypto_share{"crypto share of total J", {}};
-    util::Series hotspot{"max single-node J", {}};
     for (const PointResult& pr : points) {
-      per_pkt.points.push_back(
-          acc_point(pr.spec->x, pr.result.energy_per_delivered_j));
       const double share =
           pr.result.energy_total_j.mean() > 0.0
               ? pr.result.energy_crypto_j.mean() /
                     pr.result.energy_total_j.mean()
               : 0.0;
       crypto_share.points.push_back({pr.spec->x, share, 0.0});
-      hotspot.points.push_back(
-          acc_point(pr.spec->x, pr.result.energy_max_node_j));
     }
-    m.series.push_back(std::move(per_pkt));
     m.series.push_back(std::move(crypto_share));
-    m.series.push_back(std::move(hotspot));
+    m.series.push_back(
+        metric_series("max single-node J", points, &Result::energy_max_node_j));
     m.notes.push_back("Expected shape: ALERT's energy/packet a modest factor");
     m.notes.push_back("above GPSR (longer routes, covers, one symmetric op) "
                       "and");
@@ -968,11 +872,11 @@ CampaignSpec sec31_interception() {
         const auto x = static_cast<double>(budgets[i]);
         if (i < pr.result.compromise_targeted.size()) {
           targeted.points.push_back(
-              acc_point(x, pr.result.compromise_targeted[i]));
+              series_point(x, pr.result.compromise_targeted[i]));
         }
         if (i < pr.result.compromise_blocked.size()) {
           blocked.points.push_back(
-              acc_point(x, pr.result.compromise_blocked[i]));
+              series_point(x, pr.result.compromise_blocked[i]));
         }
       }
       m.series.push_back(std::move(targeted));
@@ -1012,19 +916,11 @@ std::string fault_curve(ProtocolKind proto, bool arq) {
 
 void fault_reduce(const std::vector<PointResult>& points,
                   const ReduceContext& ctx, obs::RunManifest& m) {
-  std::vector<util::Series> delivery =
-      group_by_curve(points, [](const PointResult& pr) {
-        return acc_point(pr.spec->x, pr.result.delivery_rate);
-      });
-  for (util::Series& sr : delivery) m.series.push_back(std::move(sr));
+  append(m, group_by_curve(points, &Result::delivery_rate));
   std::vector<util::Series> latency =
-      group_by_curve(points, [](const PointResult& pr) {
-        return acc_ms(pr.spec->x, pr.result.latency_s);
-      });
-  for (util::Series& sr : latency) {
-    sr.name += " latency (ms)";
-    m.series.push_back(std::move(sr));
-  }
+      group_by_curve(points, &Result::latency_s, 1e3);
+  for (util::Series& sr : latency) sr.name += " latency (ms)";
+  append(m, std::move(latency));
   m.notes.push_back(
       "ARQ: stop-and-wait, retry_limit 4, binary-exponential backoff;");
   m.notes.push_back(
@@ -1084,40 +980,40 @@ CampaignSpec ablation_churn_arq() {
 
 const std::vector<FigureDef>& figure_registry() {
   static const std::vector<FigureDef> registry = {
-      {"fig07a_possible_nodes", fig07a},
-      {"fig07b_random_forwarders", fig07b},
-      {"fig09a_remaining_analytical", fig09a},
-      {"fig09b_remaining_speed", fig09b},
-      {"fig10a_participating_vs_packets", fig10a},
-      {"fig10b_participating_vs_size", fig10b},
-      {"fig11_rf_vs_partitions", fig11},
-      {"fig12_destination_anonymity", fig12},
-      {"fig13a_speed_partitions", fig13a},
-      {"fig13b_density_vs_speed", fig13b},
-      {"fig14a_latency_vs_nodes", fig14a},
-      {"fig14b_latency_vs_speed", fig14b},
-      {"fig15a_hops_vs_nodes", fig15a},
-      {"fig15b_hops_vs_speed", fig15b},
-      {"fig16a_delivery_vs_nodes", fig16a},
-      {"fig16b_delivery_vs_speed", fig16b},
-      {"fig17_movement_models", fig17},
-      {"table1_anonymity_matrix", table1},
-      {"ablation_intersection", ablation_intersection},
-      {"ablation_h_tradeoff", ablation_h_tradeoff},
-      {"ablation_notify_and_go", ablation_notify_and_go},
-      {"ablation_pseudonym_period", ablation_pseudonym_period},
-      {"ablation_loss_arq", ablation_loss_arq},
-      {"ablation_churn_arq", ablation_churn_arq},
-      {"energy_per_packet", energy_per_packet},
-      {"sec43_location_overhead", sec43_location_overhead},
-      {"sec31_interception", sec31_interception},
+      {fig07a},
+      {fig07b},
+      {fig09a},
+      {fig09b},
+      {fig10a},
+      {fig10b},
+      {fig11},
+      {fig12},
+      {fig13a},
+      {fig13b},
+      {fig14a},
+      {fig14b},
+      {fig15a},
+      {fig15b},
+      {fig16a},
+      {fig16b},
+      {fig17},
+      {table1},
+      {ablation_intersection},
+      {ablation_h_tradeoff},
+      {ablation_notify_and_go},
+      {ablation_pseudonym_period},
+      {ablation_loss_arq},
+      {ablation_churn_arq},
+      {energy_per_packet},
+      {sec43_location_overhead},
+      {sec31_interception},
   };
   return registry;
 }
 
 const FigureDef* find_figure(std::string_view name) {
   for (const FigureDef& def : figure_registry()) {
-    if (name == def.name) return &def;
+    if (def.build().name == name) return &def;
   }
   return nullptr;
 }

@@ -14,15 +14,15 @@
 
 namespace alert::campaign {
 
+/// A registry entry. Its name is the built spec's `name` (the manifest's).
 struct FigureDef {
-  const char* name;  ///< machine id == manifest name
   CampaignSpec (*build)();
 };
 
 /// All registered figures, in the paper's presentation order.
 [[nodiscard]] const std::vector<FigureDef>& figure_registry();
 
-/// Lookup by machine name; nullptr when unknown.
+/// The figure whose built spec is named `name`; nullptr when unknown.
 [[nodiscard]] const FigureDef* find_figure(std::string_view name);
 
 }  // namespace alert::campaign

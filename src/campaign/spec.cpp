@@ -1,5 +1,6 @@
 #include "campaign/spec.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -29,141 +30,84 @@ const char* paper_defaults_line() {
          "512 B CBR every 2 s, 100 s, H=5";
 }
 
-namespace {
-
-util::SeriesPoint from_acc(double x, const util::Accumulator& a) {
-  return {x, a.mean(), a.ci95_halfwidth()};
-}
-
-util::SeriesPoint from_acc_scaled(double x, const util::Accumulator& a,
-                                  double scale) {
+util::SeriesPoint series_point(double x, const util::Accumulator& a,
+                               double scale) {
   return {x, a.mean() * scale, a.ci95_halfwidth() * scale};
 }
 
-struct NamedExtractor {
-  const char* name;
-  util::SeriesPoint (*fn)(double, const core::ExperimentResult&);
-};
+std::vector<util::Series> group_by_curve(
+    const std::vector<PointResult>& points, ResultAccumulator acc,
+    double scale) {
+  std::vector<util::Series> series;
+  for (const PointResult& pr : points) {
+    auto it = std::find_if(series.begin(), series.end(),
+                           [&pr](const util::Series& s) {
+                             return s.name == pr.spec->curve;
+                           });
+    if (it == series.end()) {
+      it = series.insert(series.end(), util::Series{pr.spec->curve, {}});
+    }
+    it->points.push_back(series_point(pr.spec->x, pr.result.*acc, scale));
+  }
+  return series;
+}
 
-constexpr NamedExtractor kExtractors[] = {
-    {"delivery_rate",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.delivery_rate);
-     }},
-    {"latency_ms",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc_scaled(x, r.latency_s, 1e3);
-     }},
-    {"e2e_delay_ms",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc_scaled(x, r.e2e_delay_s, 1e3);
-     }},
-    {"hops",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.hops);
-     }},
-    {"hops_with_control",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.hops_with_control);
-     }},
-    {"participants",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.participants);
-     }},
-    {"route_overlap",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.route_overlap);
-     }},
-    {"rf_per_packet",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.rf_per_packet);
-     }},
-    {"partitions_per_packet",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.partitions_per_packet);
-     }},
-    {"cover_per_data",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.cover_per_data);
-     }},
-    {"energy_per_delivered_j",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.energy_per_delivered_j);
-     }},
-    {"energy_total_j",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.energy_total_j);
-     }},
-    {"energy_crypto_j",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.energy_crypto_j);
-     }},
-    {"energy_max_node_j",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.energy_max_node_j);
-     }},
-    {"timing_source_rate",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.timing_source_rate);
-     }},
-    {"timing_dest_rate",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.timing_dest_rate);
-     }},
-    {"intersection_success",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.intersection_success);
-     }},
-    {"intersection_identified",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.intersection_identified);
-     }},
-    {"intersection_frequency",
-     [](double x, const core::ExperimentResult& r) {
-       return from_acc(x, r.intersection_frequency);
-     }},
+namespace {
+
+using R = core::ExperimentResult;
+
+constexpr YMetric kYMetrics[] = {
+    {"delivery_rate", &R::delivery_rate, 1.0},
+    {"latency_ms", &R::latency_s, 1e3},
+    {"e2e_delay_ms", &R::e2e_delay_s, 1e3},
+    {"hops", &R::hops, 1.0},
+    {"hops_with_control", &R::hops_with_control, 1.0},
+    {"participants", &R::participants, 1.0},
+    {"route_overlap", &R::route_overlap, 1.0},
+    {"rf_per_packet", &R::rf_per_packet, 1.0},
+    {"partitions_per_packet", &R::partitions_per_packet, 1.0},
+    {"cover_per_data", &R::cover_per_data, 1.0},
+    {"energy_per_delivered_j", &R::energy_per_delivered_j, 1.0},
+    {"energy_total_j", &R::energy_total_j, 1.0},
+    {"energy_crypto_j", &R::energy_crypto_j, 1.0},
+    {"energy_max_node_j", &R::energy_max_node_j, 1.0},
+    {"timing_source_rate", &R::timing_source_rate, 1.0},
+    {"timing_dest_rate", &R::timing_dest_rate, 1.0},
+    {"intersection_success", &R::intersection_success, 1.0},
+    {"intersection_identified", &R::intersection_identified, 1.0},
+    {"intersection_frequency", &R::intersection_frequency, 1.0},
 };
 
 }  // namespace
 
-std::optional<YMetricFn> y_metric_extractor(std::string_view name) {
-  for (const NamedExtractor& e : kExtractors) {
-    if (name == e.name) return YMetricFn(e.fn);
+const YMetric* find_y_metric(std::string_view name) {
+  for (const YMetric& m : kYMetrics) {
+    if (name == m.name) return &m;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 std::vector<std::string> y_metric_names() {
   std::vector<std::string> out;
-  out.reserve(std::size(kExtractors));
-  for (const NamedExtractor& e : kExtractors) out.emplace_back(e.name);
+  out.reserve(std::size(kYMetrics));
+  for (const YMetric& m : kYMetrics) out.emplace_back(m.name);
   return out;
+}
+
+std::string reps_note(std::size_t reps, std::string_view detail) {
+  return "(reps per point: " + std::to_string(reps) + std::string(detail) +
+         ")";
 }
 
 void default_reduce(const CampaignSpec& spec,
                     const std::vector<PointResult>& points,
                     const ReduceContext& ctx, obs::RunManifest& manifest) {
-  const auto fn = y_metric_extractor(spec.y_metric);
-  if (!fn) return;  // validated at spec-construction time
-  std::vector<util::Series> series;
-  for (const PointResult& pr : points) {
-    util::Series* target = nullptr;
-    for (util::Series& s : series) {
-      if (s.name == pr.spec->curve) {
-        target = &s;
-        break;
-      }
-    }
-    if (target == nullptr) {
-      series.push_back(util::Series{pr.spec->curve, {}});
-      target = &series.back();
-    }
-    target->points.push_back(
-        (*fn)(pr.spec->x, pr.result));
+  const YMetric* metric = find_y_metric(spec.y_metric);
+  if (metric == nullptr) return;  // validated at spec-construction time
+  for (util::Series& s : group_by_curve(points, metric->acc, metric->scale)) {
+    manifest.series.push_back(std::move(s));
   }
-  for (util::Series& s : series) manifest.series.push_back(std::move(s));
-  manifest.notes.push_back("(reps per point: " + std::to_string(ctx.reps) +
-                           ")");
+  manifest.notes.push_back(reps_note(ctx.reps));
 }
 
 namespace {
@@ -266,7 +210,7 @@ std::optional<CampaignSpec> load_spec_json(std::string_view json,
     return fail("spec needs a string \"y_metric\"");
   }
   spec.y_metric = y_metric->as_string();
-  if (!y_metric_extractor(spec.y_metric)) {
+  if (find_y_metric(spec.y_metric) == nullptr) {
     std::string known;
     for (const std::string& n : y_metric_names()) {
       known += known.empty() ? n : ", " + n;

@@ -11,8 +11,7 @@
 ///     the bench's exact series/table/notes;
 ///   * JSON files (schema "alertsim-campaign-spec/1") — a base config, a
 ///     set of curves (param overrides) and an x-axis sweep, expanded
-///     curve-major into points and reduced through a named y-metric
-///     extractor.
+///     curve-major into points and reduced through a named y-metric.
 ///
 /// The spec layer is pure description: no execution, no I/O beyond
 /// load_spec_file. The engine (engine.hpp) schedules the points' work units,
@@ -83,29 +82,50 @@ struct CampaignSpec {
   std::string x_label;
   std::string y_label;
   std::size_t fallback_reps = 10;  ///< when --reps is not given
-  std::string y_metric;            ///< default-reducer extractor name
+  std::string y_metric;            ///< default reducer's YMetric name
   std::vector<PointSpec> points;
   Reducer reduce;  ///< nullptr = default reducer over y_metric
   /// Static notes appended after the reducer's.
   std::vector<std::string> notes;
 };
 
-/// Mean/CI extraction of one named y-metric from an aggregated point.
-/// Names: delivery_rate, latency_ms, e2e_delay_ms, hops, hops_with_control,
-/// participants, route_overlap, rf_per_packet, partitions_per_packet,
-/// cover_per_data, energy_per_delivered_j, energy_total_j, energy_crypto_j,
+/// The point (x, mean, 95% CI half-width) of an accumulator, both scaled
+/// by `scale` (1e3 reads seconds as ms).
+[[nodiscard]] util::SeriesPoint series_point(double x,
+                                             const util::Accumulator& a,
+                                             double scale = 1.0);
+
+/// An accumulator of the aggregated point result.
+using ResultAccumulator = util::Accumulator core::ExperimentResult::*;
+
+/// One series per curve name, in first-appearance order, holding each
+/// point's x and its `acc` times `scale`.
+[[nodiscard]] std::vector<util::Series> group_by_curve(
+    const std::vector<PointResult>& points, ResultAccumulator acc,
+    double scale = 1.0);
+
+/// A named y-metric: one accumulator of the aggregated point, scaled.
+/// Names, in y_metric_names() order: delivery_rate, latency_ms,
+/// e2e_delay_ms, hops, hops_with_control, participants, route_overlap,
+/// rf_per_packet, partitions_per_packet, cover_per_data,
+/// energy_per_delivered_j, energy_total_j, energy_crypto_j,
 /// energy_max_node_j, timing_source_rate, timing_dest_rate,
 /// intersection_success, intersection_identified, intersection_frequency.
-using YMetricFn =
-    std::function<util::SeriesPoint(double x, const core::ExperimentResult&)>;
+struct YMetric {
+  const char* name;
+  ResultAccumulator acc;
+  double scale;
+};
 
-[[nodiscard]] std::optional<YMetricFn> y_metric_extractor(
-    std::string_view name);
+/// nullptr when `name` is no y-metric.
+[[nodiscard]] const YMetric* find_y_metric(std::string_view name);
 [[nodiscard]] std::vector<std::string> y_metric_names();
 
-/// The default reducer: group points by curve (first-appearance order) into
-/// one series each, extracting `y_metric`, and append a
-/// "(reps per point: N)" note.
+/// "(reps per point: N<detail>)", the note a simulated figure ends with.
+[[nodiscard]] std::string reps_note(std::size_t reps,
+                                    std::string_view detail = {});
+
+/// The default reducer: group_by_curve over `y_metric`, then reps_note.
 void default_reduce(const CampaignSpec& spec,
                     const std::vector<PointResult>& points,
                     const ReduceContext& ctx, obs::RunManifest& manifest);

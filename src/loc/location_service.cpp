@@ -73,11 +73,4 @@ std::size_t LocationService::alive_servers() const {
       std::count(alive_.begin(), alive_.end(), true));
 }
 
-double LocationService::overhead_ratio(double regular_msg_frequency) const {
-  const auto nl = static_cast<double>(config_.server_count);
-  const auto n = static_cast<double>(net_.size());
-  const double f = 1.0 / config_.update_period_s;
-  return (nl * (nl - 1.0) * f + n * f) / (n * regular_msg_frequency);
-}
-
 }  // namespace alert::loc

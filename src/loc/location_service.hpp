@@ -82,9 +82,6 @@ class LocationService {
   [[nodiscard]] std::uint64_t query_messages() const {
     return query_messages_;
   }
-  /// The Sec. 4.3 ratio (N_L(N_L-1)f + Nf) / (NF) for a given regular
-  /// communication frequency F; must be ≪ 1 for usability.
-  [[nodiscard]] double overhead_ratio(double regular_msg_frequency) const;
 
  private:
   void push_updates();

@@ -52,19 +52,4 @@ const NeighborInfo* Node::find_neighbor(Pseudonym p) const {
   return nullptr;
 }
 
-const NeighborInfo* Node::closest_neighbor_to(
-    util::Vec2 target, std::optional<Pseudonym> exclude) const {
-  const NeighborInfo* best = nullptr;
-  double best_d = 0.0;
-  for (const auto& n : neighbors_) {
-    if (exclude && n.pseudonym == *exclude) continue;
-    const double d = util::distance_sq(n.position, target);
-    if (best == nullptr || d < best_d) {
-      best = &n;
-      best_d = d;
-    }
-  }
-  return best;
-}
-
 }  // namespace alert::net

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "crypto/pubkey.hpp"
@@ -90,11 +89,6 @@ class Node {
     return neighbors_;
   }
   [[nodiscard]] const NeighborInfo* find_neighbor(Pseudonym p) const;
-
-  /// Neighbour whose (beaconed) position is closest to `target`, or nullptr
-  /// if the table is empty. Excludes `exclude` when provided.
-  [[nodiscard]] const NeighborInfo* closest_neighbor_to(
-      util::Vec2 target, std::optional<Pseudonym> exclude = {}) const;
 
  private:
   // Layout: net.query strides over Network's contiguous node array and

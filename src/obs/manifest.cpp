@@ -1,10 +1,8 @@
 #include "obs/manifest.hpp"
 
-#include <fstream>
-
 #include "alertsim_build_version.h"  // generated: ALERTSIM_BUILD_VERSION
 #include "obs/series.hpp"
-#include "util/logging.hpp"
+#include "util/atomic_file.hpp"
 
 namespace alert::obs {
 
@@ -55,13 +53,8 @@ void RunManifest::write_json(std::ostream& out) const {
 }
 
 bool RunManifest::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    ALERT_LOG_ERROR("manifest: cannot open '%s' for writing", path.c_str());
-    return false;
-  }
-  write_json(out);
-  return out.good();
+  return util::write_file_atomic(
+      path, [this](std::ostream& out) { write_json(out); });
 }
 
 }  // namespace alert::obs

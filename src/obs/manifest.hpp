@@ -59,7 +59,8 @@ struct RunManifest {
   }
 
   void write_json(std::ostream& out) const;
-  /// Write to `path`; returns false (and logs) on I/O failure.
+  /// Write to `path` through util::write_file_atomic; returns false (and
+  /// logs) on I/O failure.
   bool write_file(const std::string& path) const;
 };
 

@@ -1,18 +1,16 @@
 #include "perf/report.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <system_error>
 #include <thread>
 #include <utility>
 
 #include "obs/json.hpp"
 #include "obs/json_value.hpp"
+#include "util/atomic_file.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace alert::perf {
 
@@ -106,28 +104,8 @@ void BenchReport::write_json(std::ostream& out) const {
 }
 
 bool BenchReport::write_file(const std::string& path) const {
-  namespace fs = std::filesystem;
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) {
-      ALERT_LOG_ERROR("perf: cannot open '%s' for writing", tmp.c_str());
-      return false;
-    }
-    write_json(out);
-    if (!out.good()) {
-      ALERT_LOG_ERROR("perf: short write to '%s'", tmp.c_str());
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    ALERT_LOG_ERROR("perf: cannot rename '%s' -> '%s': %s", tmp.c_str(),
-                    path.c_str(), ec.message().c_str());
-    return false;
-  }
-  return true;
+  return util::write_file_atomic(
+      path, [this](std::ostream& out) { write_json(out); });
 }
 
 std::optional<BenchReport> load_report(std::string_view json,

@@ -394,12 +394,7 @@ void AlertRouter::deliver_into_zone(net::Node& self, net::Packet pkt) {
                        pkt.kind == net::PacketKind::Data;
   double processing = config_.per_hop_processing_s;
   if (counter) {
-    // Alter payload bits; append an encrypted bitmap layer (Sec. 3.3).
-    crypto::AlterationBitmap bm = crypto::AlterationBitmap::alter(
-        pkt.payload, config_.bitmap_flips, rng_);
-    pkt.alert->bitmap_layers_enc.push_back(
-        crypto::rsa_encrypt_bytes(pkt.alert->dest_pubkey, bm.serialize()));
-    charge_crypto(self, net_.config().crypto_cost.public_encrypt_s);
+    add_bitmap_layer(self, pkt);
     processing += net_.config().crypto_cost.public_encrypt_s;
 
     // First-step multicast: m random zone members (D not guaranteed in).
@@ -425,6 +420,14 @@ void AlertRouter::deliver_into_zone(net::Node& self, net::Packet pkt) {
   on_zone_broadcast(self, local);
 }
 
+void AlertRouter::add_bitmap_layer(const net::Node& self, net::Packet& pkt) {
+  crypto::AlterationBitmap bm = crypto::AlterationBitmap::alter(
+      pkt.payload, config_.bitmap_flips, rng_);
+  pkt.alert->bitmap_layers_enc.push_back(
+      crypto::rsa_encrypt_bytes(pkt.alert->dest_pubkey, bm.serialize()));
+  charge_crypto(self, net_.config().crypto_cost.public_encrypt_s);
+}
+
 void AlertRouter::on_zone_broadcast(net::Node& self, const net::Packet& pkt) {
   const util::Vec2 self_pos = self.position(net_.now());
   if (!pkt.alert->dest_zone.contains(self_pos)) return;  // overheard only
@@ -448,11 +451,7 @@ void AlertRouter::on_zone_broadcast(net::Node& self, const net::Packet& pkt) {
       release.alert->countermeasure_second_step = true;
       // Each rebroadcaster re-alters bits so broadcasts of the same packet
       // are never byte-identical on air.
-      crypto::AlterationBitmap bm = crypto::AlterationBitmap::alter(
-          release.payload, config_.bitmap_flips, rng_);
-      release.alert->bitmap_layers_enc.push_back(crypto::rsa_encrypt_bytes(
-          release.alert->dest_pubkey, bm.serialize()));
-      charge_crypto(self, net_.config().crypto_cost.public_encrypt_s);
+      add_bitmap_layer(self, release);
       release.size_bytes = release.payload.size() + header_bytes(release);
       ++stats_.broadcasts;
       net_.broadcast(self, std::move(release),
@@ -506,7 +505,6 @@ void AlertRouter::accept_at_destination(net::Node& self,
     ds.src_zone = decode_rect(crypto::rsa_decrypt_bytes(
         self.private_key(), pkt.alert->src_zone_enc, 32));
     ds.have_key = true;
-    ds.have_src_zone = true;
     charge_crypto(self, 2.0 * net_.config().crypto_cost.public_decrypt_s);
   }
 
@@ -531,8 +529,7 @@ void AlertRouter::accept_at_destination(net::Node& self,
   if (!intact) return;  // corrupted; wait for a retransmission
 
   delivered_marks_.insert(mark);
-  ++stats_.data_delivered;
-  ledger_close(pkt, net::PacketFate::Delivered);
+  deliver(pkt);
 
   if (config_.use_nak) {
     if (pkt.seq > ds.expected_seq) {
@@ -550,7 +547,7 @@ void AlertRouter::accept_at_destination(net::Node& self,
 void AlertRouter::send_reply(net::PacketKind kind, net::Node& dest_node,
                              const net::Packet& data_pkt, std::uint32_t seq) {
   const DestState& ds = dest_state_[data_pkt.flow];
-  if (!ds.have_src_zone) return;
+  if (!ds.have_key) return;
   net::Packet reply =
       make_header(kind, dest_node, data_pkt.src_pseudonym,
                   data_pkt.true_source, data_pkt.flow, seq, config_.max_hops);

@@ -123,6 +123,10 @@ class AlertRouter final : public Protocol {
   /// selection cannot make progress (sparse regions).
   void fallback_leg(net::Node& self, net::Packet pkt);
   void deliver_into_zone(net::Node& self, net::Packet pkt);
+  /// Alter `pkt`'s payload bits and append their recovery bitmap,
+  /// RSA-wrapped under D's key, as one more layer (Sec. 3.3); the
+  /// encryption is charged to `self`.
+  void add_bitmap_layer(const net::Node& self, net::Packet& pkt);
   void on_zone_broadcast(net::Node& self, const net::Packet& pkt);
   void accept_at_destination(net::Node& self, const net::Packet& pkt);
   /// D's confirmation of `data_pkt` (seq = its seq) or NAK (seq = the
@@ -145,11 +149,10 @@ class AlertRouter final : public Protocol {
   /// sequence number (for NAKs), keyed by flow.
   struct DestState {
     crypto::SymmetricKey session_key;
-    bool have_key = false;
+    bool have_key = false;  ///< session_key and src_zone are unwrapped
     std::uint32_t expected_seq = 0;
     std::unordered_set<std::uint32_t> received;
     util::Rect src_zone;  ///< decrypted L_ZS for the return path
-    bool have_src_zone = false;
   };
   std::unordered_map<std::uint32_t, DestState> dest_state_;
   /// Countermeasure holders: per node, held first-step packets by flow.

@@ -109,8 +109,7 @@ void GeoRouter::handle(net::Node& self, const net::Packet& pkt) {
   ALERT_OBS_TIMED(profiler_, handle_scope_);
   if (pkt.kind != net::PacketKind::Data) return;
   if (net_.resolve_pseudonym(pkt.dst_pseudonym) == self.id()) {
-    ++stats_.data_delivered;
-    ledger_close(pkt, net::PacketFate::Delivered);
+    deliver(pkt);
     return;
   }
   forward(self, pkt);

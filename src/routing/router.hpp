@@ -8,10 +8,11 @@
 ///
 /// Every router is geographic forwarding plus its own mechanism, so the
 /// forwarding itself lives here once: the packet header, the hop budget,
-/// the forward and the drop (every forward and drop decision passes
-/// through forward_to() and drop()), and the two GPSR steps of
-/// geo_forwarding.hpp with their packet state. GeoRouter adds the delivery
-/// rule the position-addressed baselines (GPSR, ALARM, AO2P) share.
+/// the forward, the drop and the delivery (every forward, drop and Data
+/// delivery passes through forward_to(), drop() and deliver()), and the
+/// two GPSR steps of geo_forwarding.hpp with their packet state. GeoRouter
+/// adds the delivery rule the position-addressed baselines (GPSR, ALARM,
+/// AO2P) share.
 
 #include <cstdint>
 #include <string>
@@ -135,6 +136,13 @@ class Protocol : public net::PacketHandler {
                                         net::NodeId true_dest,
                                         std::uint32_t flow,
                                         std::uint32_t seq, int max_hops);
+
+  /// `pkt` reached its true destination: the protocol delivery counter and
+  /// the Delivered fate.
+  void deliver(const net::Packet& pkt) {
+    ++stats_.data_delivered;
+    ledger_close(pkt, net::PacketFate::Delivered);
+  }
 
   /// Give up on `pkt`: the protocol drop counter and the Dropped fate.
   void drop(const net::Packet& pkt) {

@@ -51,18 +51,11 @@ void ZapRouter::handle(net::Node& self, const net::Packet& pkt) {
   if (pkt.alert->in_dest_zone_phase) {
     const util::Vec2 pos = self.position(net_.now());
     if (!pkt.alert->dest_zone.contains(pos)) return;  // overheard
-    if (net_.resolve_pseudonym(pkt.dst_pseudonym) == self.id() &&
-        delivered_uids_.insert(pkt.uid).second) {
-      ++stats_.data_delivered;
-      ledger_close(pkt, net::PacketFate::Delivered);
-      // D must keep rebroadcasting like every other zone member, or its
-      // silence would single it out.
-    }
+    // D keeps rebroadcasting like every other zone member, or its silence
+    // would single it out.
+    accept_in_zone(self, pkt);
     if (config_.flood_rebroadcast && pkt.hops_remaining > 0 &&
-        !rebroadcast_done_[pkt.uid ^ (static_cast<std::uint64_t>(self.id())
-                                      << 40)]) {
-      rebroadcast_done_[pkt.uid ^ (static_cast<std::uint64_t>(self.id())
-                                   << 40)] = true;
+        mark_flooded(self, pkt)) {
       net::Packet copy = pkt;
       --copy.hops_remaining;
       ++copy.hop_count;
@@ -98,16 +91,23 @@ void ZapRouter::forward(net::Node& self, net::Packet pkt) {
 
 void ZapRouter::zone_flood(net::Node& self, net::Packet pkt) {
   pkt.alert->in_dest_zone_phase = true;
-  rebroadcast_done_[pkt.uid ^ (static_cast<std::uint64_t>(self.id())
-                               << 40)] = true;
+  mark_flooded(self, pkt);
   ++stats_.broadcasts;
-  // The entry holder may itself be D.
-  net::Packet local = pkt;
-  net_.broadcast(self, std::move(pkt), config_.per_hop_processing_s);
-  if (net_.resolve_pseudonym(local.dst_pseudonym) == self.id() &&
-      delivered_uids_.insert(local.uid).second) {
-    ++stats_.data_delivered;
-    ledger_close(local, net::PacketFate::Delivered);
+  net_.broadcast(self, pkt, config_.per_hop_processing_s);
+  accept_in_zone(self, pkt);  // the entry holder may itself be D
+}
+
+bool ZapRouter::mark_flooded(const net::Node& self, const net::Packet& pkt) {
+  return flooded_.insert(pkt.uid ^ (static_cast<std::uint64_t>(self.id())
+                                    << 40))
+      .second;
+}
+
+void ZapRouter::accept_in_zone(const net::Node& self,
+                               const net::Packet& pkt) {
+  if (net_.resolve_pseudonym(pkt.dst_pseudonym) == self.id() &&
+      delivered_uids_.insert(pkt.uid).second) {
+    deliver(pkt);
   }
 }
 

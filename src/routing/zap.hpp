@@ -16,7 +16,6 @@
 /// (dest_zone / in_dest_zone_phase), which both protocols advertise on
 /// air.
 
-#include <unordered_map>
 #include <unordered_set>
 
 #include "routing/router.hpp"
@@ -54,11 +53,15 @@ class ZapRouter final : public Protocol {
   void forward(net::Node& self, net::Packet pkt);
   void zone_flood(net::Node& self, net::Packet pkt);
   bool reroute_failed(net::Node& self, const net::Packet& pkt) override;
+  /// Mark `pkt` flooded by `self`; false when `self` already flooded it.
+  bool mark_flooded(const net::Node& self, const net::Packet& pkt);
+  /// Deliver `pkt` when `self` is D and this is its first copy.
+  void accept_in_zone(const net::Node& self, const net::Packet& pkt);
 
   ZapConfig config_;
   util::Rng rng_;
-  /// Flood duplicate suppression: packets this node already rebroadcast.
-  std::unordered_map<std::uint64_t, bool> rebroadcast_done_;
+  /// Flood duplicate suppression: (uid, node) pairs already rebroadcast.
+  std::unordered_set<std::uint64_t> flooded_;
   /// Delivery dedup: the flood hands D several copies of each uid.
   std::unordered_set<std::uint64_t> delivered_uids_;
 };

@@ -109,15 +109,6 @@ TEST(LocationService, QueryCryptoCostPositive) {
   EXPECT_GT(f.service->query_crypto_cost_s(), 0.0);
 }
 
-TEST(LocationService, OverheadRatioSmallWhenFLessThanF) {
-  Fixture f;
-  // Sec. 4.3: with N_L ~ sqrt(N) and f << F the ratio must be << 1.
-  const double ratio = f.service->overhead_ratio(/*regular=*/100.0);
-  EXPECT_LT(ratio, 0.1);
-  // And it grows as regular traffic frequency drops.
-  EXPECT_GT(f.service->overhead_ratio(1.0), ratio);
-}
-
 TEST(LocationService, QueryUnknownTargetIsNull) {
   Fixture f;
   EXPECT_FALSE(f.service->query(0, 999).has_value());

@@ -90,29 +90,5 @@ TEST(Node, FindNeighborByPseudonym) {
   EXPECT_EQ(n.find_neighbor(43), nullptr);
 }
 
-TEST(Node, ClosestNeighborPicksMinimumDistance) {
-  Node n = make_node();
-  n.observe_neighbor({1, {10.0, 0.0}, {}, 0.0}, 0.0);
-  n.observe_neighbor({2, {3.0, 0.0}, {}, 0.0}, 0.0);
-  n.observe_neighbor({3, {7.0, 0.0}, {}, 0.0}, 0.0);
-  const NeighborInfo* c = n.closest_neighbor_to({0.0, 0.0});
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->pseudonym, 2u);
-}
-
-TEST(Node, ClosestNeighborHonoursExclusion) {
-  Node n = make_node();
-  n.observe_neighbor({1, {1.0, 0.0}, {}, 0.0}, 0.0);
-  n.observe_neighbor({2, {2.0, 0.0}, {}, 0.0}, 0.0);
-  const NeighborInfo* c = n.closest_neighbor_to({0.0, 0.0}, 1u);
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->pseudonym, 2u);
-}
-
-TEST(Node, ClosestNeighborEmptyTableIsNull) {
-  const Node n = make_node();
-  EXPECT_EQ(n.closest_neighbor_to({0.0, 0.0}), nullptr);
-}
-
 }  // namespace
 }  // namespace alert::net

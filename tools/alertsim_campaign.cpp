@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   if (list) {
     for (const campaign::FigureDef& def : campaign::figure_registry()) {
       const campaign::CampaignSpec spec = def.build();
-      obs::print_text_line(std::string(def.name) + "  (" + spec.banner + ")");
+      obs::print_text_line(spec.name + "  (" + spec.banner + ")");
     }
     return 0;
   }
