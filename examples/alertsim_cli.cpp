@@ -103,42 +103,34 @@ int main(int argc, char** argv) {
   }
 
   if (csv) {
-    std::printf(
-        "protocol,nodes,speed,duration,reps,delivery,latency_ms,e2e_ms,"
-        "hops,participants,rf_per_packet,route_overlap,energy_per_pkt_j,"
-        "timing_src,intersect_p\n");
-    std::printf("%s,%zu,%.3g,%.3g,%zu,%.4f,%.3f,%.3f,%.3f,%.2f,%.3f,%.3f,"
-                "%.5f,%.3f,%.3f\n",
-                core::protocol_name(cfg.protocol), cfg.node_count,
-                cfg.speed_mps, cfg.duration_s, reps,
-                r.delivery_rate.mean(), r.latency_s.mean() * 1e3,
-                r.e2e_delay_s.mean() * 1e3, r.hops.mean(),
-                r.participants.mean(), r.rf_per_packet.mean(),
-                r.route_overlap.mean(), r.energy_per_delivered_j.mean(),
-                r.timing_source_rate.mean(), r.intersection_success.mean());
+    // A column subset of the y-metric table, each at its own precision.
+    struct Column {
+      const char* y_metric;
+      int precision;
+    };
+    constexpr Column kColumns[] = {
+        {"delivery_rate", 4},      {"latency_ms", 3},
+        {"e2e_delay_ms", 3},       {"hops", 3},
+        {"participants", 2},       {"rf_per_packet", 3},
+        {"route_overlap", 3},      {"energy_per_delivered_j", 5},
+        {"timing_source_rate", 3}, {"intersection_success", 3}};
+    std::printf("protocol,nodes,speed,duration,reps");
+    for (const Column& c : kColumns) std::printf(",%s", c.y_metric);
+    std::printf("\n%s,%zu,%.3g,%.3g,%zu", core::protocol_name(cfg.protocol),
+                cfg.node_count, cfg.speed_mps, cfg.duration_s, reps);
+    for (const Column& c : kColumns) {
+      std::printf(",%.*f", c.precision, r.point(c.y_metric).y);
+    }
+    std::printf("\n");
     return 0;
   }
 
   std::printf("%s — %zu nodes, %.1f m/s, %.0f s, %zu flows, %zu reps\n\n",
               core::protocol_name(cfg.protocol), cfg.node_count,
               cfg.speed_mps, cfg.duration_s, cfg.flow_count, reps);
-  std::printf("  delivery rate        %.3f (+/-%.3f)\n",
-              r.delivery_rate.mean(), r.delivery_rate.ci95_halfwidth());
-  std::printf("  latency per packet   %.2f ms (+/-%.2f)\n",
-              r.latency_s.mean() * 1e3, r.latency_s.ci95_halfwidth() * 1e3);
-  std::printf("  end-to-end delay     %.2f ms\n", r.e2e_delay_s.mean() * 1e3);
-  std::printf("  hops per packet      %.2f (+/-%.2f)\n", r.hops.mean(),
-              r.hops.ci95_halfwidth());
-  std::printf("  participants/flow    %.1f\n", r.participants.mean());
-  std::printf("  RFs per packet       %.2f\n", r.rf_per_packet.mean());
-  std::printf("  route overlap        %.2f\n", r.route_overlap.mean());
-  std::printf("  energy per packet    %.4f J\n",
-              r.energy_per_delivered_j.mean());
-  if (cfg.run_attacks) {
-    std::printf("  timing src-id rate   %.2f\n", r.timing_source_rate.mean());
-    std::printf("  intersection P(D)    %.2f (freq %.2f)\n",
-                r.intersection_success.mean(),
-                r.intersection_frequency.mean());
+  for (const core::YMetric& row : core::y_metrics()) {
+    const util::SeriesPoint p = r.point(row.name);
+    std::printf("  %-24s %.4f (+/-%.4f)\n", row.name, p.y, p.ci);
   }
   return 0;
 }

@@ -2,7 +2,7 @@
 /// Minimal end-to-end use of the alertsim public API: build a 200-node
 /// MANET on a 1 km^2 field (the paper's default setup), run ALERT traffic
 /// between 10 random S-D pairs for 100 simulated seconds, and print the
-/// paper's six evaluation metrics next to GPSR's for comparison.
+/// paper's evaluation metrics next to GPSR's for comparison.
 
 #include <cstdio>
 
@@ -19,28 +19,26 @@ int main() {
   std::printf("alertsim quickstart — %zu nodes, %.0f s, %zu flows\n\n",
               cfg.node_count, cfg.duration_s, cfg.flow_count);
 
+  // Rows of the y-metric table (core::y_metrics()); each prints its mean
+  // over the replications, in the row's scale.
+  const char* const metrics[] = {
+      "delivery_rate",      "latency_ms",           "hops",
+      "participants",       "route_overlap",        "rf_per_packet",
+      "timing_source_rate", "intersection_success", "intersection_frequency"};
   for (const core::ProtocolKind proto :
        {core::ProtocolKind::Alert, core::ProtocolKind::Gpsr}) {
     cfg.protocol = proto;
     const core::ExperimentResult r = core::run_experiment(cfg, 3);
     std::printf("%s:\n", core::protocol_name(proto));
-    std::printf("  delivery rate            %.3f\n", r.delivery_rate.mean());
-    std::printf("  latency per packet       %.1f ms\n",
-                r.latency_s.mean() * 1e3);
-    std::printf("  hops per packet          %.2f\n", r.hops.mean());
-    std::printf("  participating nodes/flow %.1f\n", r.participants.mean());
-    std::printf("  route overlap (Jaccard)  %.2f\n", r.route_overlap.mean());
-    std::printf("  random forwarders/packet %.2f\n", r.rf_per_packet.mean());
-    std::printf("  timing attack S-id rate  %.2f\n",
-                r.timing_source_rate.mean());
-    std::printf("  intersection P(find D)   %.2f (freq attack %.2f)\n",
-                r.intersection_success.mean(),
-                r.intersection_frequency.mean());
+    for (const char* metric : metrics) {
+      std::printf("  %-24s %.3f\n", metric, r.point(metric).y);
+    }
     std::printf("\n");
   }
   std::printf(
       "ALERT should match GPSR's delivery at slightly higher latency/hops\n"
       "while spreading traffic over far more nodes and defeating the\n"
-      "attacks — see bench/ for the full figure reproductions.\n");
+      "attacks — run alertsim-campaign --all for the full figure\n"
+      "reproductions.\n");
   return 0;
 }

@@ -22,9 +22,6 @@ class ZoneResidency {
   [[nodiscard]] std::size_t initial_count() const {
     return initial_members_.size();
   }
-  [[nodiscard]] const std::vector<net::NodeId>& initial_members() const {
-    return initial_members_;
-  }
 
   /// How many of the initial occupants are inside the zone at time `t`.
   [[nodiscard]] std::size_t remaining_at(sim::Time t) const;

@@ -66,12 +66,9 @@ obs::RunManifest assemble_manifest(const CampaignSpec& spec,
   std::size_t slot = 0;
   for (std::size_t p = 0; p < spec.points.size(); ++p) {
     PointResult& pr = points[p];
-    pr.index = p;
     pr.spec = &spec.points[p];
-    pr.runs.reserve(grid.point_reps[p]);
     for (std::size_t r = 0; r < grid.point_reps[p]; ++r, ++slot) {
-      pr.result.add(results[slot]);
-      pr.runs.push_back(std::move(results[slot]));
+      pr.result.add(std::move(results[slot]));
     }
     std::sort(pr.result.trace_digests.begin(),
               pr.result.trace_digests.end());

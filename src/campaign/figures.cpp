@@ -19,7 +19,7 @@ namespace {
 
 using core::MobilityKind;
 using core::ProtocolKind;
-using Result = core::ExperimentResult;
+using Run = core::RunResult;
 
 core::ScenarioConfig base() { return paper_default_scenario(); }
 
@@ -43,13 +43,13 @@ PointSpec make_point(std::string curve, double x, core::ScenarioConfig cfg,
   return p;
 }
 
-/// One series named `name`: every point's x and its `acc` times `scale`.
+/// One series named `name`: every point's x and its y-metric `y_metric`.
 util::Series metric_series(std::string name,
                            const std::vector<PointResult>& points,
-                           ResultAccumulator acc, double scale = 1.0) {
+                           std::string_view y_metric) {
   util::Series series{std::move(name), {}};
   for (const PointResult& pr : points) {
-    series.points.push_back(series_point(pr.spec->x, pr.result.*acc, scale));
+    series.points.push_back(pr.result.point(y_metric, pr.spec->x));
   }
   return series;
 }
@@ -124,7 +124,7 @@ void residency_reduce(const std::vector<PointResult>& points,
   for (const PointResult& pr : points) {
     util::Series series{pr.spec->curve, {}};
     const double period = pr.spec->config.residency_sample_period_s;
-    const auto& samples = pr.result.remaining_by_sample;
+    const auto samples = pr.result.fold_each(&Run::remaining_by_sample);
     for (std::size_t i = 0; i < samples.size(); ++i) {
       series.points.push_back(
           series_point(static_cast<double>(i) * period, samples[i]));
@@ -138,12 +138,12 @@ void residency_reduce(const std::vector<PointResult>& points,
 /// map dissemination.
 void hops_reduce(const std::vector<PointResult>& points,
                  const ReduceContext& ctx, obs::RunManifest& m) {
-  append(m, group_by_curve(points, &Result::hops));
+  append(m, group_by_curve(points, "hops"));
   util::Series alarm_diss{"ALARM (incl. dissemination)", {}};
   for (const PointResult& pr : points) {
     if (pr.spec->curve == "ALARM") {
       alarm_diss.points.push_back(
-          series_point(pr.spec->x, pr.result.hops_with_control));
+          pr.result.point("hops_with_control", pr.spec->x));
     }
   }
   m.series.push_back(std::move(alarm_diss));
@@ -279,7 +279,8 @@ CampaignSpec fig10a() {
                 const ReduceContext& ctx, obs::RunManifest& m) {
     for (const PointResult& pr : points) {
       util::Series series{pr.spec->curve, {}};
-      const auto& cumulative = pr.result.cumulative_participants;
+      const auto cumulative =
+          pr.result.fold_each(&Run::cumulative_participants);
       for (std::size_t p = 0; p < cumulative.size() && p < 20; ++p) {
         series.points.push_back(
             series_point(static_cast<double>(p + 1), cumulative[p]));
@@ -322,8 +323,8 @@ CampaignSpec fig11() {
   }
   s.reduce = [](const std::vector<PointResult>& points,
                 const ReduceContext& ctx, obs::RunManifest& m) {
-    m.series.push_back(metric_series("ALERT (simulated)", points,
-                                     &Result::rf_per_packet));
+    m.series.push_back(
+        metric_series("ALERT (simulated)", points, "rf_per_packet"));
     util::Series theory{"Eq. 10 (analysis)", {}};
     for (const PointResult& pr : points) {
       theory.points.push_back(
@@ -415,7 +416,7 @@ CampaignSpec fig13b() {
           {pr.spec->x,
            analysis::required_node_count(net, 5, pr.spec->x, 10.0, 6.0),
            0.0});
-      const auto& samples = pr.result.remaining_by_sample;
+      const auto samples = pr.result.fold_each(&Run::remaining_by_sample);
       if (samples.empty()) continue;
       // Sample index 1 is t = +10 s after session start.
       const util::Accumulator& acc =
@@ -538,8 +539,7 @@ CampaignSpec fig17() {
   }
   s.reduce = [](const std::vector<PointResult>& points,
                 const ReduceContext& ctx, obs::RunManifest& m) {
-    append(m,
-           group_by_curve(points, &Result::e2e_delay_s, 1e3));
+    append(m, group_by_curve(points, "e2e_delay_ms"));
     m.notes.push_back("mean delivery rates per model/speed (context for the");
     m.notes.push_back("survivorship discussion in EXPERIMENTS.md):");
     std::string current_curve;
@@ -555,7 +555,7 @@ CampaignSpec fig17() {
         }
         line = "  " + label + ":";
       }
-      line += format(" %.2f", pr.result.delivery_rate.mean());
+      line += format(" %.2f", pr.result.point("delivery_rate").y);
     }
     if (!line.empty()) m.notes.push_back(line);
     m.notes.push_back(reps_note(ctx.reps));
@@ -589,10 +589,10 @@ CampaignSpec table1() {
                              "src(timing)", "dst(timing)", "dst(inter.)",
                              "route-ovl", "verdict"));
     for (const PointResult& pr : points) {
-      const double src = pr.result.timing_source_rate.mean();
-      const double dst_timing = pr.result.timing_dest_rate.mean();
-      const double dst_inter = pr.result.intersection_success.mean();
-      const double overlap = pr.result.route_overlap.mean();
+      const double src = pr.result.point("timing_source_rate").y;
+      const double dst_timing = pr.result.point("timing_dest_rate").y;
+      const double dst_inter = pr.result.point("intersection_success").y;
+      const double overlap = pr.result.point("route_overlap").y;
       // A destination is exposed if *either* attack pins it: the baselines
       // deliver by unicast (timing identifies the terminal receiver); ALERT
       // is attacked through its zone broadcasts (intersection, Sec. 3.3).
@@ -648,9 +648,9 @@ CampaignSpec ablation_intersection() {
       for (const PointResult& pr : points) {
         if (pr.spec->curve != cm) continue;
         freq.points.push_back(
-            series_point(pr.spec->x, pr.result.intersection_frequency));
+            pr.result.point("intersection_frequency", pr.spec->x));
         strict.points.push_back(
-            series_point(pr.spec->x, pr.result.intersection_success));
+            pr.result.point("intersection_success", pr.spec->x));
       }
       m.series.push_back(std::move(freq));
       m.series.push_back(std::move(strict));
@@ -675,8 +675,8 @@ CampaignSpec ablation_h_tradeoff() {
   }
   s.reduce = [](const std::vector<PointResult>& points,
                 const ReduceContext& ctx, obs::RunManifest& m) {
-    m.series.push_back(metric_series("RFs/packet (route anon.)", points,
-                                     &Result::rf_per_packet));
+    m.series.push_back(
+        metric_series("RFs/packet (route anon.)", points, "rf_per_packet"));
     util::Series zone_pop{"zone population k (dest anon.)", {}};
     for (const PointResult& pr : points) {
       zone_pop.points.push_back(
@@ -686,10 +686,9 @@ CampaignSpec ablation_h_tradeoff() {
            0.0});
     }
     m.series.push_back(std::move(zone_pop));
+    m.series.push_back(metric_series("hops/packet (cost)", points, "hops"));
     m.series.push_back(
-        metric_series("hops/packet (cost)", points, &Result::hops));
-    m.series.push_back(
-        metric_series("latency ms (cost)", points, &Result::latency_s, 1e3));
+        metric_series("latency ms (cost)", points, "latency_ms"));
     m.notes.push_back(
         "Reading: route anonymity (RFs) buys linearly with H while the");
     m.notes.push_back(
@@ -721,12 +720,11 @@ CampaignSpec ablation_notify_and_go() {
   }
   s.reduce = [](const std::vector<PointResult>& points,
                 const ReduceContext& ctx, obs::RunManifest& m) {
-    m.series.push_back(metric_series("timing src-id rate", points,
-                                     &Result::timing_source_rate));
     m.series.push_back(
-        metric_series("latency (ms)", points, &Result::latency_s, 1e3));
+        metric_series("timing src-id rate", points, "timing_source_rate"));
+    m.series.push_back(metric_series("latency (ms)", points, "latency_ms"));
     m.series.push_back(
-        metric_series("cover pkts per data", points, &Result::cover_per_data));
+        metric_series("cover pkts per data", points, "cover_per_data"));
     m.notes.push_back(
         reps_note(ctx.reps, "; t0 = 0 row is the mechanism disabled"));
   };
@@ -748,9 +746,8 @@ CampaignSpec ablation_pseudonym_period() {
   s.reduce = [](const std::vector<PointResult>& points,
                 const ReduceContext& ctx, obs::RunManifest& m) {
     m.series.push_back(
-        metric_series("delivery rate", points, &Result::delivery_rate));
-    m.series.push_back(
-        metric_series("latency (ms)", points, &Result::latency_s, 1e3));
+        metric_series("delivery rate", points, "delivery_rate"));
+    m.series.push_back(metric_series("latency (ms)", points, "latency_ms"));
     m.notes.push_back(
         "Short periods perturb routing (stale neighbour entries point at");
     m.notes.push_back(
@@ -778,19 +775,17 @@ CampaignSpec energy_per_packet() {
   s.reduce = [](const std::vector<PointResult>& points,
                 const ReduceContext& ctx, obs::RunManifest& m) {
     m.series.push_back(metric_series("J per delivered packet", points,
-                                     &Result::energy_per_delivered_j));
+                                     "energy_per_delivered_j"));
     util::Series crypto_share{"crypto share of total J", {}};
     for (const PointResult& pr : points) {
+      const double total = pr.result.point("energy_total_j").y;
       const double share =
-          pr.result.energy_total_j.mean() > 0.0
-              ? pr.result.energy_crypto_j.mean() /
-                    pr.result.energy_total_j.mean()
-              : 0.0;
+          total > 0.0 ? pr.result.point("energy_crypto_j").y / total : 0.0;
       crypto_share.points.push_back({pr.spec->x, share, 0.0});
     }
     m.series.push_back(std::move(crypto_share));
     m.series.push_back(
-        metric_series("max single-node J", points, &Result::energy_max_node_j));
+        metric_series("max single-node J", points, "energy_max_node_j"));
     m.notes.push_back("Expected shape: ALERT's energy/packet a modest factor");
     m.notes.push_back("above GPSR (longer routes, covers, one symmetric op) "
                       "and");
@@ -827,8 +822,8 @@ CampaignSpec sec43_location_overhead() {
         "sqrt(N) = %.1f servers — the paper's sizing rule; ratios",
         std::sqrt(200.0)));
     m.notes.push_back("must be << 1 for the service to be affordable.");
-    if (!points.empty() && !points[0].runs.empty()) {
-      const core::RunResult& run = points[0].runs[0];
+    if (!points.empty() && !points[0].result.runs.empty()) {
+      const Run& run = points[0].result.runs[0];
       m.notes.push_back("measured (one 100 s run, 14 servers, f = 1 Hz):");
       m.notes.push_back(format(
           "  location update messages: %llu",
@@ -868,15 +863,16 @@ CampaignSpec sec31_interception() {
       util::Series blocked{pr.spec->curve + " random-c full-flow blockage",
                            {}};
       const auto& budgets = pr.spec->config.compromise_budgets;
+      const auto targeted_acc =
+          pr.result.fold_each(&Run::compromise_targeted);
+      const auto blocked_acc = pr.result.fold_each(&Run::compromise_blocked);
       for (std::size_t i = 0; i < budgets.size(); ++i) {
         const auto x = static_cast<double>(budgets[i]);
-        if (i < pr.result.compromise_targeted.size()) {
-          targeted.points.push_back(
-              series_point(x, pr.result.compromise_targeted[i]));
+        if (i < targeted_acc.size()) {
+          targeted.points.push_back(series_point(x, targeted_acc[i]));
         }
-        if (i < pr.result.compromise_blocked.size()) {
-          blocked.points.push_back(
-              series_point(x, pr.result.compromise_blocked[i]));
+        if (i < blocked_acc.size()) {
+          blocked.points.push_back(series_point(x, blocked_acc[i]));
         }
       }
       m.series.push_back(std::move(targeted));
@@ -916,9 +912,8 @@ std::string fault_curve(ProtocolKind proto, bool arq) {
 
 void fault_reduce(const std::vector<PointResult>& points,
                   const ReduceContext& ctx, obs::RunManifest& m) {
-  append(m, group_by_curve(points, &Result::delivery_rate));
-  std::vector<util::Series> latency =
-      group_by_curve(points, &Result::latency_s, 1e3);
+  append(m, group_by_curve(points, "delivery_rate"));
+  std::vector<util::Series> latency = group_by_curve(points, "latency_ms");
   for (util::Series& sr : latency) sr.name += " latency (ms)";
   append(m, std::move(latency));
   m.notes.push_back(

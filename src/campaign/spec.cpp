@@ -30,14 +30,12 @@ const char* paper_defaults_line() {
          "512 B CBR every 2 s, 100 s, H=5";
 }
 
-util::SeriesPoint series_point(double x, const util::Accumulator& a,
-                               double scale) {
-  return {x, a.mean() * scale, a.ci95_halfwidth() * scale};
+util::SeriesPoint series_point(double x, const util::Accumulator& a) {
+  return {x, a.mean(), a.ci95_halfwidth()};
 }
 
 std::vector<util::Series> group_by_curve(
-    const std::vector<PointResult>& points, ResultAccumulator acc,
-    double scale) {
+    const std::vector<PointResult>& points, std::string_view y_metric) {
   std::vector<util::Series> series;
   for (const PointResult& pr : points) {
     auto it = std::find_if(series.begin(), series.end(),
@@ -47,51 +45,9 @@ std::vector<util::Series> group_by_curve(
     if (it == series.end()) {
       it = series.insert(series.end(), util::Series{pr.spec->curve, {}});
     }
-    it->points.push_back(series_point(pr.spec->x, pr.result.*acc, scale));
+    it->points.push_back(pr.result.point(y_metric, pr.spec->x));
   }
   return series;
-}
-
-namespace {
-
-using R = core::ExperimentResult;
-
-constexpr YMetric kYMetrics[] = {
-    {"delivery_rate", &R::delivery_rate, 1.0},
-    {"latency_ms", &R::latency_s, 1e3},
-    {"e2e_delay_ms", &R::e2e_delay_s, 1e3},
-    {"hops", &R::hops, 1.0},
-    {"hops_with_control", &R::hops_with_control, 1.0},
-    {"participants", &R::participants, 1.0},
-    {"route_overlap", &R::route_overlap, 1.0},
-    {"rf_per_packet", &R::rf_per_packet, 1.0},
-    {"partitions_per_packet", &R::partitions_per_packet, 1.0},
-    {"cover_per_data", &R::cover_per_data, 1.0},
-    {"energy_per_delivered_j", &R::energy_per_delivered_j, 1.0},
-    {"energy_total_j", &R::energy_total_j, 1.0},
-    {"energy_crypto_j", &R::energy_crypto_j, 1.0},
-    {"energy_max_node_j", &R::energy_max_node_j, 1.0},
-    {"timing_source_rate", &R::timing_source_rate, 1.0},
-    {"timing_dest_rate", &R::timing_dest_rate, 1.0},
-    {"intersection_success", &R::intersection_success, 1.0},
-    {"intersection_identified", &R::intersection_identified, 1.0},
-    {"intersection_frequency", &R::intersection_frequency, 1.0},
-};
-
-}  // namespace
-
-const YMetric* find_y_metric(std::string_view name) {
-  for (const YMetric& m : kYMetrics) {
-    if (name == m.name) return &m;
-  }
-  return nullptr;
-}
-
-std::vector<std::string> y_metric_names() {
-  std::vector<std::string> out;
-  out.reserve(std::size(kYMetrics));
-  for (const YMetric& m : kYMetrics) out.emplace_back(m.name);
-  return out;
 }
 
 std::string reps_note(std::size_t reps, std::string_view detail) {
@@ -102,9 +58,7 @@ std::string reps_note(std::size_t reps, std::string_view detail) {
 void default_reduce(const CampaignSpec& spec,
                     const std::vector<PointResult>& points,
                     const ReduceContext& ctx, obs::RunManifest& manifest) {
-  const YMetric* metric = find_y_metric(spec.y_metric);
-  if (metric == nullptr) return;  // validated at spec-construction time
-  for (util::Series& s : group_by_curve(points, metric->acc, metric->scale)) {
+  for (util::Series& s : group_by_curve(points, spec.y_metric)) {
     manifest.series.push_back(std::move(s));
   }
   manifest.notes.push_back(reps_note(ctx.reps));
@@ -210,10 +164,10 @@ std::optional<CampaignSpec> load_spec_json(std::string_view json,
     return fail("spec needs a string \"y_metric\"");
   }
   spec.y_metric = y_metric->as_string();
-  if (find_y_metric(spec.y_metric) == nullptr) {
+  if (core::find_y_metric(spec.y_metric) == nullptr) {
     std::string known;
-    for (const std::string& n : y_metric_names()) {
-      known += known.empty() ? n : ", " + n;
+    for (const core::YMetric& m : core::y_metrics()) {
+      known += known.empty() ? m.name : std::string(", ") + m.name;
     }
     return fail("unknown y_metric \"" + spec.y_metric + "\" (known: " +
                 known + ")");

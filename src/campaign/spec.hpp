@@ -48,17 +48,13 @@ struct PointSpec {
   std::size_t reps_override = 0;  ///< 0 = campaign-level replication count
 };
 
-/// The aggregated outcome of one point after all replications completed
-/// (from the cache or executed live).
+/// The outcome of one point after all replications completed (from the
+/// cache or executed live).
 struct PointResult {
-  std::size_t index = 0;            ///< position in CampaignSpec::points
   const PointSpec* spec = nullptr;  ///< borrowed from the spec
-  /// Folded in replication order (deterministic regardless of scheduling);
-  /// trace_digests sorted.
+  /// The runs in replication order (deterministic regardless of
+  /// scheduling); trace_digests sorted.
   core::ExperimentResult result;
-  /// Raw per-replication results in replication order (reducers that need
-  /// scalars no accumulator carries, e.g. message counters).
-  std::vector<core::RunResult> runs;
 };
 
 /// Context the engine passes to reducers (dynamic values that may appear in
@@ -82,44 +78,21 @@ struct CampaignSpec {
   std::string x_label;
   std::string y_label;
   std::size_t fallback_reps = 10;  ///< when --reps is not given
-  std::string y_metric;            ///< default reducer's YMetric name
+  std::string y_metric;            ///< default reducer's core::YMetric
   std::vector<PointSpec> points;
   Reducer reduce;  ///< nullptr = default reducer over y_metric
   /// Static notes appended after the reducer's.
   std::vector<std::string> notes;
 };
 
-/// The point (x, mean, 95% CI half-width) of an accumulator, both scaled
-/// by `scale` (1e3 reads seconds as ms).
+/// The point (x, mean, 95% CI half-width) of an accumulator.
 [[nodiscard]] util::SeriesPoint series_point(double x,
-                                             const util::Accumulator& a,
-                                             double scale = 1.0);
-
-/// An accumulator of the aggregated point result.
-using ResultAccumulator = util::Accumulator core::ExperimentResult::*;
+                                             const util::Accumulator& a);
 
 /// One series per curve name, in first-appearance order, holding each
-/// point's x and its `acc` times `scale`.
+/// point's x and its y-metric `y_metric` (core::y_metrics()).
 [[nodiscard]] std::vector<util::Series> group_by_curve(
-    const std::vector<PointResult>& points, ResultAccumulator acc,
-    double scale = 1.0);
-
-/// A named y-metric: one accumulator of the aggregated point, scaled.
-/// Names, in y_metric_names() order: delivery_rate, latency_ms,
-/// e2e_delay_ms, hops, hops_with_control, participants, route_overlap,
-/// rf_per_packet, partitions_per_packet, cover_per_data,
-/// energy_per_delivered_j, energy_total_j, energy_crypto_j,
-/// energy_max_node_j, timing_source_rate, timing_dest_rate,
-/// intersection_success, intersection_identified, intersection_frequency.
-struct YMetric {
-  const char* name;
-  ResultAccumulator acc;
-  double scale;
-};
-
-/// nullptr when `name` is no y-metric.
-[[nodiscard]] const YMetric* find_y_metric(std::string_view name);
-[[nodiscard]] std::vector<std::string> y_metric_names();
+    const std::vector<PointResult>& points, std::string_view y_metric);
 
 /// "(reps per point: N<detail>)", the note a simulated figure ends with.
 [[nodiscard]] std::string reps_note(std::size_t reps,

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <queue>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -311,13 +312,12 @@ RunResult run_once(const ScenarioConfig& config,
     const double t = config.traffic_start_s +
                      static_cast<double>(s) *
                          config.residency_sample_period_s;
-    simulator.schedule_at(t, [&, s] {
+    simulator.schedule_at(t, [&] {
       if (residencies.empty()) return;
       for (std::size_t f = 0; f < residencies.size(); ++f) {
         residency_samples[f].push_back(
             static_cast<double>(residencies[f].remaining_at(simulator.now())));
       }
-      (void)s;
     });
   }
 
@@ -424,60 +424,85 @@ RunResult run_once(const ScenarioConfig& config,
   return result;
 }
 
-void ExperimentResult::add(const RunResult& run) {
-  ++replications;
-  if (run.delivered > 0) {
-    latency_s.add(run.mean_latency_s);
-    e2e_delay_s.add(run.mean_e2e_delay_s);
-    hops.add(run.mean_hops);
-    hops_with_control.add(run.mean_hops + run.control_hops_per_packet);
-  }
-  delivery_rate.add(run.delivery_rate());
-  participants.add(run.mean_participants);
-  route_overlap.add(run.mean_route_overlap);
-  rf_per_packet.add(run.rf_per_packet);
-  partitions_per_packet.add(run.partitions_per_packet);
-  cover_per_data.add(run.cover_packets_per_data);
-  energy_total_j.add(run.energy_total_j);
-  energy_crypto_j.add(run.energy_crypto_j);
-  energy_max_node_j.add(run.energy_max_node_j);
-  if (run.delivered > 0) {
-    energy_per_delivered_j.add(run.energy_per_delivered_j);
-  }
-  timing_source_rate.add(run.timing_source_rate);
-  timing_dest_rate.add(run.timing_dest_rate);
-  intersection_success.add(run.intersection_success);
-  intersection_identified.add(run.intersection_identified);
-  intersection_frequency.add(run.intersection_frequency);
+namespace {
 
-  if (compromise_targeted.size() < run.compromise_targeted.size()) {
-    compromise_targeted.resize(run.compromise_targeted.size());
-  }
-  for (std::size_t i = 0; i < run.compromise_targeted.size(); ++i) {
-    compromise_targeted[i].add(run.compromise_targeted[i]);
-  }
-  if (compromise_blocked.size() < run.compromise_blocked.size()) {
-    compromise_blocked.resize(run.compromise_blocked.size());
-  }
-  for (std::size_t i = 0; i < run.compromise_blocked.size(); ++i) {
-    compromise_blocked[i].add(run.compromise_blocked[i]);
-  }
+using R = RunResult;
 
-  if (cumulative_participants.size() < run.cumulative_participants.size()) {
-    cumulative_participants.resize(run.cumulative_participants.size());
+constexpr YMetric kYMetrics[] = {
+    {"delivery_rate", nullptr, &R::delivery_rate, false, 1.0},
+    {"latency_ms", &R::mean_latency_s, nullptr, true, 1e3},
+    {"e2e_delay_ms", &R::mean_e2e_delay_s, nullptr, true, 1e3},
+    {"hops", &R::mean_hops, nullptr, true, 1.0},
+    {"hops_with_control", nullptr, &R::hops_with_control, true, 1.0},
+    {"participants", &R::mean_participants, nullptr, false, 1.0},
+    {"route_overlap", &R::mean_route_overlap, nullptr, false, 1.0},
+    {"rf_per_packet", &R::rf_per_packet, nullptr, false, 1.0},
+    {"partitions_per_packet", &R::partitions_per_packet, nullptr, false, 1.0},
+    {"cover_per_data", &R::cover_packets_per_data, nullptr, false, 1.0},
+    {"energy_per_delivered_j", &R::energy_per_delivered_j, nullptr, true, 1.0},
+    {"energy_total_j", &R::energy_total_j, nullptr, false, 1.0},
+    {"energy_crypto_j", &R::energy_crypto_j, nullptr, false, 1.0},
+    {"energy_max_node_j", &R::energy_max_node_j, nullptr, false, 1.0},
+    {"timing_source_rate", &R::timing_source_rate, nullptr, false, 1.0},
+    {"timing_dest_rate", &R::timing_dest_rate, nullptr, false, 1.0},
+    {"intersection_success", &R::intersection_success, nullptr, false, 1.0},
+    {"intersection_identified", &R::intersection_identified, nullptr, false,
+     1.0},
+    {"intersection_frequency", &R::intersection_frequency, nullptr, false,
+     1.0},
+};
+
+const YMetric& y_metric(std::string_view name) {
+  const YMetric* row = find_y_metric(name);
+  ALERT_INVARIANT(row != nullptr,
+                  "unknown y-metric '" + std::string(name) + "'");
+  return *row;
+}
+
+}  // namespace
+
+std::span<const YMetric> y_metrics() { return kYMetrics; }
+
+const YMetric* find_y_metric(std::string_view name) {
+  for (const YMetric& row : kYMetrics) {
+    if (name == row.name) return &row;
   }
-  for (std::size_t i = 0; i < run.cumulative_participants.size(); ++i) {
-    cumulative_participants[i].add(run.cumulative_participants[i]);
-  }
-  if (remaining_by_sample.size() < run.remaining_by_sample.size()) {
-    remaining_by_sample.resize(run.remaining_by_sample.size());
-  }
-  for (std::size_t i = 0; i < run.remaining_by_sample.size(); ++i) {
-    remaining_by_sample[i].add(run.remaining_by_sample[i]);
-  }
+  return nullptr;
+}
+
+void ExperimentResult::add(RunResult run) {
   metrics.merge(run.metrics);
   profile.merge(run.profile);
   trace_digests.push_back(run.trace_digest);
+  runs.push_back(std::move(run));
+}
+
+util::Accumulator ExperimentResult::fold(std::string_view name) const {
+  const YMetric& row = y_metric(name);
+  util::Accumulator acc;
+  for (const RunResult& run : runs) {
+    if (row.needs_delivery && run.delivered == 0) continue;
+    acc.add(row.member != nullptr ? run.*row.member : (run.*row.derived)());
+  }
+  return acc;
+}
+
+util::SeriesPoint ExperimentResult::point(std::string_view name,
+                                          double x) const {
+  const double scale = y_metric(name).scale;
+  const util::Accumulator acc = fold(name);
+  return {x, acc.mean() * scale, acc.ci95_halfwidth() * scale};
+}
+
+std::vector<util::Accumulator> ExperimentResult::fold_each(
+    std::vector<double> RunResult::*member) const {
+  std::vector<util::Accumulator> out;
+  for (const RunResult& run : runs) {
+    const std::vector<double>& values = run.*member;
+    if (out.size() < values.size()) out.resize(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) out[i].add(values[i]);
+  }
+  return out;
 }
 
 ExperimentResult run_experiment(const ScenarioConfig& config,
@@ -488,13 +513,13 @@ ExperimentResult run_experiment(const ScenarioConfig& config,
   util::ThreadPool pool(threads);
   pool.parallel_for(replications,
                     [&](std::size_t r) { runs[r] = run_once(config, r); });
-  // Aggregate in replication order, not completion order: Welford updates
-  // and sum accumulation are not associative in floating point, so folding
-  // results as threads finish made the aggregate depend on scheduling.
-  // Replication-order aggregation makes parallel and serial runs
-  // bit-identical (and trace_digests arrives already deterministic).
-  for (const RunResult& run : runs) {
-    result.add(run);
+  // Keep replication order, not completion order: Welford updates and sum
+  // accumulation are not associative in floating point, so folding results
+  // as threads finish would make the aggregate depend on scheduling.
+  // Replication order makes parallel and serial runs bit-identical (and
+  // trace_digests arrives already deterministic).
+  for (RunResult& run : runs) {
+    result.add(std::move(run));
   }
   return result;
 }

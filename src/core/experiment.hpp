@@ -3,13 +3,16 @@
 /// \file experiment.hpp
 /// The experiment harness: builds a full simulation from a ScenarioConfig
 /// (network + mobility + location service + pseudonyms + protocol + traffic
-/// + observers), runs R independent replications (optionally across a
-/// thread pool — each replication owns its simulator and RNG), and
-/// aggregates the paper's six evaluation metrics (Sec. 5.2) with 95%
-/// Student-t confidence intervals over replications, exactly as the paper's
-/// 30-run averages with "I"-shaped CI bars.
+/// + observers) and runs R independent replications (optionally across a
+/// thread pool — each replication owns its simulator and RNG). A point's
+/// result is its replications; the y-metric table (y_metrics()) is the one
+/// place that says how a replication's scalar becomes a plotted mean with
+/// its 95% Student-t confidence interval, as in the paper's 30-run averages
+/// with "I"-shaped CI bars (Sec. 5.2).
 
 #include <cstdint>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "attack/intersection_attack.hpp"
@@ -67,42 +70,56 @@ struct RunResult {
                      : static_cast<double>(delivered) /
                            static_cast<double>(sent);
   }
+  /// Fig. 15a's ALARM accounting: routed hops plus dissemination hops.
+  [[nodiscard]] double hops_with_control() const {
+    return mean_hops + control_hops_per_packet;
+  }
 };
 
-/// Aggregated over replications.
+/// One plotted scalar: which RunResult value a y-metric name reads, which
+/// replications fold it and how its mean and CI are scaled.
+struct YMetric {
+  const char* name;
+  double RunResult::*member;             ///< nullptr: read `derived`
+  double (RunResult::*derived)() const;  ///< a RunResult member function
+  /// Fold only replications with delivered > 0: a run that delivered
+  /// nothing has no latency, hops or energy per delivered packet.
+  bool needs_delivery;
+  double scale;  ///< times the mean and CI (a `_ms` row reads seconds)
+};
+
+/// The y-metric table, in the order alertsim_cli's summary and the spec
+/// loader's "unknown y_metric" message list it.
+[[nodiscard]] std::span<const YMetric> y_metrics();
+
+/// nullptr when `name` is no y-metric.
+[[nodiscard]] const YMetric* find_y_metric(std::string_view name);
+
+/// One point's replications, in replication order, and what merges across
+/// them. Every mean and CI is folded from `runs` on demand.
 struct ExperimentResult {
-  std::size_t replications = 0;
-  util::Accumulator latency_s;
-  util::Accumulator e2e_delay_s;
-  util::Accumulator hops;
-  util::Accumulator hops_with_control;  ///< Fig. 15a ALARM accounting
-  util::Accumulator delivery_rate;
-  util::Accumulator participants;
-  util::Accumulator route_overlap;
-  util::Accumulator rf_per_packet;
-  util::Accumulator partitions_per_packet;
-  util::Accumulator cover_per_data;
-  util::Accumulator energy_total_j;
-  util::Accumulator energy_crypto_j;
-  util::Accumulator energy_per_delivered_j;
-  util::Accumulator energy_max_node_j;
-  util::Accumulator timing_source_rate;
-  util::Accumulator timing_dest_rate;
-  util::Accumulator intersection_success;
-  util::Accumulator intersection_identified;
-  util::Accumulator intersection_frequency;
-  /// One accumulator per compromise budget (config.compromise_budgets).
-  std::vector<util::Accumulator> compromise_targeted;
-  std::vector<util::Accumulator> compromise_blocked;
-  std::vector<util::Accumulator> cumulative_participants;
-  std::vector<util::Accumulator> remaining_by_sample;
+  std::vector<RunResult> runs;
   obs::MetricsSnapshot metrics;   ///< ⊕-merged across replications
   obs::ProfileReport profile;     ///< wall-clock self-profile (if enabled)
-  /// Per-replication determinism digests, sorted so the set is reproducible
-  /// regardless of thread-pool completion order.
+  /// Per-replication determinism digests, in replication order; the
+  /// campaign engine sorts them.
   std::vector<std::uint64_t> trace_digests;
 
-  void add(const RunResult& run);
+  /// Append the next replication.
+  void add(RunResult run);
+
+  /// The y-metric `name` over the runs in replication order, unscaled (a
+  /// `_ms` row folds seconds). An unknown name fails an ALERT_INVARIANT.
+  [[nodiscard]] util::Accumulator fold(std::string_view name) const;
+
+  /// (x, mean, 95% CI half-width) of the y-metric `name`, in its scale.
+  [[nodiscard]] util::SeriesPoint point(std::string_view name,
+                                        double x = 0.0) const;
+
+  /// One accumulator per index of a vector result, each over the runs whose
+  /// vector reaches that index.
+  [[nodiscard]] std::vector<util::Accumulator> fold_each(
+      std::vector<double> RunResult::*member) const;
 };
 
 /// Reject unusable scenarios before any simulation runs: a fault plan with

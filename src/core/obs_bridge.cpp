@@ -19,17 +19,6 @@ const char* tx_kind(net::PacketKind k) {
 
 }  // namespace
 
-const char* packet_kind_name(net::PacketKind kind) {
-  switch (kind) {
-    case net::PacketKind::Hello: return "hello";
-    case net::PacketKind::Data: return "data";
-    case net::PacketKind::Confirm: return "confirm";
-    case net::PacketKind::Nak: return "nak";
-    case net::PacketKind::Cover: return "cover";
-  }
-  return "unknown";
-}
-
 const char* drop_reason_name(net::DropReason why) {
   switch (why) {
     case net::DropReason::OutOfRange: return "out_of_range";

@@ -14,9 +14,6 @@
 
 namespace alert::core {
 
-/// Short lowercase verb for a packet kind ("hello", "data", ...).
-[[nodiscard]] const char* packet_kind_name(net::PacketKind kind);
-
 /// Short lowercase reason for a channel drop ("out_of_range", ...).
 [[nodiscard]] const char* drop_reason_name(net::DropReason why);
 

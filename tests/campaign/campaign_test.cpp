@@ -8,6 +8,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/cache.hpp"
@@ -424,7 +425,7 @@ TEST(FigureRegistry, EveryFigureBuildsAConsistentSpec) {
     EXPECT_FALSE(spec.title.empty()) << spec.name;
     // Default-reduced specs must name a known y-metric.
     if (!spec.reduce) {
-      EXPECT_NE(find_y_metric(spec.y_metric), nullptr)
+      EXPECT_NE(core::find_y_metric(spec.y_metric), nullptr)
           << spec.name << " y_metric=" << spec.y_metric;
     }
   }
@@ -523,6 +524,65 @@ TEST(FigureRegistry, ManifestsArePinned) {
   EXPECT_EQ(manifests, 27u);
   EXPECT_EQ(crypto::to_hex(crypto::Sha1::hash(all)),
             "111f47b829000f4b4225f40875dccff0592cab54");
+}
+
+/// synthetic_run plus what one delivering replication never shows: rep 1
+/// delivers nothing, and rep 2's participant and residency vectors are one
+/// entry longer than the other reps'.
+core::RunResult fold_case_run(const WorkUnit& unit,
+                              const core::ScenarioConfig& config) {
+  core::RunResult r = synthetic_run(unit.slot, config);
+  if (unit.rep == 1) r.delivered = 0;
+  if (unit.rep == 2) {
+    r.cumulative_participants.push_back(r.cumulative_participants.back() + 4.0);
+    r.remaining_by_sample.push_back(r.remaining_by_sample.back() - 2.0);
+  }
+  return r;
+}
+
+TEST(FigureRegistry, FoldsArePinned) {
+  // How replications fold into a point: a one-point default-reduced spec
+  // per y-metric at 4 reps, then all 27 registry figures at 3 reps, from
+  // fold_case_run results, `version` blanked. So a CI, the rule that only
+  // delivering reps fold latency/delay/hops/energy per packet, and the
+  // per-index fold of vectors of unequal length are all in the digest.
+  // The names are spelt out: renaming a y-metric fails here.
+  std::vector<std::pair<CampaignSpec, std::size_t>> campaigns;
+  for (const char* y_metric :
+       {"delivery_rate", "latency_ms", "e2e_delay_ms", "hops",
+        "hops_with_control", "participants", "route_overlap",
+        "rf_per_packet", "partitions_per_packet", "cover_per_data",
+        "energy_per_delivered_j", "energy_total_j", "energy_crypto_j",
+        "energy_max_node_j", "timing_source_rate", "timing_dest_rate",
+        "intersection_success", "intersection_identified",
+        "intersection_frequency"}) {
+    CampaignSpec spec = tiny_spec(std::string("fold_") + y_metric);
+    spec.y_metric = y_metric;
+    spec.points.resize(1);
+    campaigns.emplace_back(std::move(spec), 4);
+  }
+  for (const FigureDef& def : figure_registry()) {
+    campaigns.emplace_back(def.build(), 3);
+  }
+  std::string all;
+  for (const auto& [spec, reps] : campaigns) {
+    const UnitGrid grid = expand_units(spec, reps);
+    std::vector<core::RunResult> results;
+    for (const WorkUnit& unit : grid.units) {
+      results.push_back(fold_case_run(unit, spec.points[unit.point].config));
+    }
+    std::string json =
+        manifest_bytes(assemble_manifest(spec, grid, std::move(results)));
+    const std::string version =
+        std::string("\"") + obs::build_version() + "\"";
+    const std::size_t at = json.find(version, json.find("\"version\""));
+    ASSERT_NE(at, std::string::npos) << spec.name;
+    json.replace(at, version.size(), "\"\"");
+    all += json;
+  }
+  EXPECT_EQ(campaigns.size(), 19u + 27u);
+  EXPECT_EQ(crypto::to_hex(crypto::Sha1::hash(all)),
+            "7051e224e2a25c1abbef15c02e1bef9c109f93ab");
 }
 
 }  // namespace

@@ -108,10 +108,10 @@ TEST(Experiment, ResidencySamplesCollected) {
 
 TEST(Experiment, RunExperimentAggregatesReplications) {
   const ExperimentResult r = run_experiment(small_scenario(), 3, 1);
-  EXPECT_EQ(r.replications, 3u);
-  EXPECT_EQ(r.delivery_rate.count(), 3u);
-  EXPECT_GT(r.latency_s.mean(), 0.0);
-  EXPECT_GE(r.delivery_rate.ci95_halfwidth(), 0.0);
+  EXPECT_EQ(r.runs.size(), 3u);
+  EXPECT_EQ(r.fold("delivery_rate").count(), 3u);
+  EXPECT_GT(r.fold("latency_ms").mean(), 0.0);
+  EXPECT_GE(r.fold("delivery_rate").ci95_halfwidth(), 0.0);
 }
 
 TEST(Experiment, ParallelAndSerialAggregationMatch) {
@@ -120,8 +120,10 @@ TEST(Experiment, ParallelAndSerialAggregationMatch) {
   const ExperimentResult parallel = run_experiment(cfg, 3, 3);
   // Exact: aggregation happens in replication order regardless of thread
   // count, so parallel and serial results are bit-identical.
-  EXPECT_EQ(serial.latency_s.mean(), parallel.latency_s.mean());
-  EXPECT_EQ(serial.delivery_rate.mean(), parallel.delivery_rate.mean());
+  EXPECT_EQ(serial.fold("latency_ms").mean(),
+            parallel.fold("latency_ms").mean());
+  EXPECT_EQ(serial.fold("delivery_rate").mean(),
+            parallel.fold("delivery_rate").mean());
   EXPECT_EQ(serial.trace_digests, parallel.trace_digests);
 }
 

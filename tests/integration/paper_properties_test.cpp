@@ -26,26 +26,26 @@ TEST(PaperProperties, AlertLatencySlightlyAboveGpsrFarBelowAlarm) {
   const auto alarm_r = core::run_experiment(scenario(core::ProtocolKind::Alarm), 3, 1);
   const auto ao2p_r = core::run_experiment(scenario(core::ProtocolKind::Ao2p), 3, 1);
   // Fig. 14a ordering.
-  EXPECT_GT(alert_r.latency_s.mean(), gpsr_r.latency_s.mean());
-  EXPECT_LT(alert_r.latency_s.mean(), gpsr_r.latency_s.mean() * 10.0);
-  EXPECT_GT(alarm_r.latency_s.mean(), alert_r.latency_s.mean() * 5.0);
-  EXPECT_GT(ao2p_r.latency_s.mean(), alert_r.latency_s.mean() * 5.0);
+  EXPECT_GT(alert_r.fold("latency_ms").mean(), gpsr_r.fold("latency_ms").mean());
+  EXPECT_LT(alert_r.fold("latency_ms").mean(), gpsr_r.fold("latency_ms").mean() * 10.0);
+  EXPECT_GT(alarm_r.fold("latency_ms").mean(), alert_r.fold("latency_ms").mean() * 5.0);
+  EXPECT_GT(ao2p_r.fold("latency_ms").mean(), alert_r.fold("latency_ms").mean() * 5.0);
 }
 
 TEST(PaperProperties, AlertHopsAboveGreedyBaselines) {
   const auto alert_r = core::run_experiment(scenario(core::ProtocolKind::Alert), 3, 1);
   const auto gpsr_r = core::run_experiment(scenario(core::ProtocolKind::Gpsr), 3, 1);
   // Fig. 15a: ALERT pays extra hops for anonymity, but not absurdly many.
-  EXPECT_GT(alert_r.hops.mean(), gpsr_r.hops.mean());
-  EXPECT_LT(alert_r.hops.mean(), gpsr_r.hops.mean() + 6.0);
+  EXPECT_GT(alert_r.fold("hops").mean(), gpsr_r.fold("hops").mean());
+  EXPECT_LT(alert_r.fold("hops").mean(), gpsr_r.fold("hops").mean() + 6.0);
 }
 
 TEST(PaperProperties, RouteOverlapSeparatesAlertFromBaselines) {
   const auto alert_r = core::run_experiment(scenario(core::ProtocolKind::Alert), 3, 1);
   const auto gpsr_r = core::run_experiment(scenario(core::ProtocolKind::Gpsr), 3, 1);
   // Sec. 3.1: ALERT's routes change per packet; GPSR repeats its path.
-  EXPECT_LT(alert_r.route_overlap.mean(), 0.5);
-  EXPECT_GT(gpsr_r.route_overlap.mean(), 0.6);
+  EXPECT_LT(alert_r.fold("route_overlap").mean(), 0.5);
+  EXPECT_GT(gpsr_r.fold("route_overlap").mean(), 0.6);
 }
 
 TEST(PaperProperties, RfCountMonotoneInH) {
@@ -54,8 +54,8 @@ TEST(PaperProperties, RfCountMonotoneInH) {
     core::ScenarioConfig cfg = scenario(core::ProtocolKind::Alert);
     cfg.alert.partitions_h = h;
     const auto r = core::run_experiment(cfg, 3, 1);
-    EXPECT_GT(r.rf_per_packet.mean(), prev) << "H=" << h;
-    prev = r.rf_per_packet.mean();
+    EXPECT_GT(r.fold("rf_per_packet").mean(), prev) << "H=" << h;
+    prev = r.fold("rf_per_packet").mean();
   }
 }
 
@@ -67,8 +67,8 @@ TEST(PaperProperties, RfCountNearEq10Expectation) {
   cfg.alert.partitions_h = 5;
   const auto r = core::run_experiment(cfg, 3, 1);
   const double expected = analysis::expected_rfs(5);
-  EXPECT_GT(r.rf_per_packet.mean(), 0.5 * expected);
-  EXPECT_LT(r.rf_per_packet.mean(), 3.0 * expected);
+  EXPECT_GT(r.fold("rf_per_packet").mean(), 0.5 * expected);
+  EXPECT_LT(r.fold("rf_per_packet").mean(), 3.0 * expected);
 }
 
 TEST(PaperProperties, ResidencyDecayTracksEq15) {
@@ -80,9 +80,10 @@ TEST(PaperProperties, ResidencyDecayTracksEq15) {
   cfg.duration_s = 30.0;
   cfg.residency_sample_period_s = 20.0;
   const auto r = core::run_experiment(cfg, 5, 1);
-  ASSERT_GE(r.remaining_by_sample.size(), 2u);
-  const double initial = r.remaining_by_sample[0].mean();
-  const double later = r.remaining_by_sample[1].mean();
+  const auto remaining = r.fold_each(&core::RunResult::remaining_by_sample);
+  ASSERT_GE(remaining.size(), 2u);
+  const double initial = remaining[0].mean();
+  const double later = remaining[1].mean();
   ASSERT_GT(initial, 0.0);
   const analysis::NetworkShape net{1000.0, 1000.0, 200.0};
   const double predicted_fraction =
@@ -102,7 +103,7 @@ TEST(PaperProperties, AlertDeliveryBeatsGpsrWithoutDestUpdate) {
   gpsr_cfg.protocol = core::ProtocolKind::Gpsr;
   const auto alert_r = core::run_experiment(alert_cfg, 3, 1);
   const auto gpsr_r = core::run_experiment(gpsr_cfg, 3, 1);
-  EXPECT_GT(alert_r.delivery_rate.mean(), gpsr_r.delivery_rate.mean());
+  EXPECT_GT(alert_r.fold("delivery_rate").mean(), gpsr_r.fold("delivery_rate").mean());
 }
 
 TEST(PaperProperties, NotifyAndGoCostsOnlyCoverBytes) {
@@ -113,17 +114,18 @@ TEST(PaperProperties, NotifyAndGoCostsOnlyCoverBytes) {
   without_cfg.alert.notify_and_go = false;
   const auto with_r = core::run_experiment(with_cfg, 3, 1);
   const auto without_r = core::run_experiment(without_cfg, 3, 1);
-  EXPECT_GT(with_r.cover_per_data.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(without_r.cover_per_data.mean(), 0.0);
-  EXPECT_NEAR(with_r.hops.mean(), without_r.hops.mean(), 1.5);
-  EXPECT_LT(with_r.latency_s.mean() - without_r.latency_s.mean(), 0.01);
+  EXPECT_GT(with_r.fold("cover_per_data").mean(), 5.0);
+  EXPECT_DOUBLE_EQ(without_r.fold("cover_per_data").mean(), 0.0);
+  EXPECT_NEAR(with_r.fold("hops").mean(), without_r.fold("hops").mean(), 1.5);
+  // fold() is unscaled: the latency difference is in seconds.
+  EXPECT_LT(with_r.fold("latency_ms").mean() - without_r.fold("latency_ms").mean(), 0.01);
 }
 
 TEST(PaperProperties, AlarmControlTrafficDoublesItsHopAccounting) {
   const auto r = core::run_experiment(scenario(core::ProtocolKind::Alarm), 3, 1);
   // Fig. 15a: dissemination accounting raises ALARM's hops well above its
   // pure routing hops.
-  EXPECT_GT(r.hops_with_control.mean(), r.hops.mean() * 1.5);
+  EXPECT_GT(r.fold("hops_with_control").mean(), r.fold("hops").mean() * 1.5);
 }
 
 }  // namespace
