@@ -6,17 +6,28 @@
 #   cmake -DALERTSIM_SANITIZE="memory"              # MSan (clang only)
 #
 # The flags are applied globally (add_compile_options/add_link_options) so
-# src, tests, bench and examples are all instrumented identically — mixing
+# src, tests, tools and examples are all instrumented identically — mixing
 # instrumented and uninstrumented TUs produces false negatives.
 #
 # Suppression files live in tools/sanitizers/ and are exported through
-# ALERTSIM_SANITIZER_TEST_ENV, which tests/CMakeLists.txt attaches to every
-# registered test's ENVIRONMENT property.
+# ALERTSIM_SANITIZER_TEST_ENV, which every test process gets: the gtest
+# tests through tests/CMakeLists.txt, the others through
+# alertsim_attach_sanitizer_env().
 
 set(ALERTSIM_SANITIZE "" CACHE STRING
     "Semicolon list of sanitizers: address;undefined | thread | memory")
 
 set(ALERTSIM_SANITIZER_TEST_ENV "")
+
+# Attach ALERTSIM_SANITIZER_TEST_ENV to every test the calling directory has
+# registered so far.
+function(alertsim_attach_sanitizer_env)
+  if(ALERTSIM_SANITIZER_TEST_ENV)
+    get_property(tests DIRECTORY PROPERTY TESTS)
+    set_tests_properties(${tests}
+      PROPERTIES ENVIRONMENT "${ALERTSIM_SANITIZER_TEST_ENV}")
+  endif()
+endfunction()
 
 if(NOT ALERTSIM_SANITIZE)
   return()

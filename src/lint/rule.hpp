@@ -69,7 +69,7 @@ struct AnalyzerConfig {
         "faults"}},
       {"campaign", {"util", "analysis", "core", "obs", "routing"}},
       {"perf",
-       {"util", "obs", "sim", "net", "core", "campaign", "lint"}},
+       {"util", "obs", "crypto", "sim", "net", "core", "campaign"}},
       {"lint", {"util", "obs"}},
       // Test-only module (tests/integration/): end-to-end suites sit above
       // the whole DAG, so every module is a legal dependency.

@@ -1,9 +1,11 @@
 #include "perf/kernels.hpp"
 
 #include <cmath>
-#include <utility>
+#include <limits>
 
 #include "campaign/spec.hpp"
+#include "crypto/sha1.hpp"
+#include "crypto/symmetric.hpp"
 #include "net/mobility.hpp"
 #include "util/check.hpp"
 #include "util/geometry.hpp"
@@ -11,15 +13,38 @@
 
 namespace alert::perf {
 
-std::uint64_t run_dispatch_batch(std::size_t events) {
+namespace {
+
+constexpr std::size_t kHoldPending = 512;
+
+/// The hold model: firing an event schedules its successor, so the pending
+/// set keeps its size until the successor budget runs out.
+struct HoldModel {
   sim::Simulator simulator;
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < events; ++i) {
-    simulator.schedule_at(static_cast<double>(i) * 1e-6, [&acc] { ++acc; });
+  util::Rng delays{kKernelSeed};
+  std::size_t successors_left = 0;
+
+  void fire() {
+    if (successors_left == 0) return;
+    --successors_left;
+    simulator.schedule_in(delays.uniform(), [this] { fire(); });
   }
-  simulator.run_until(static_cast<double>(events) * 1e-6);
-  ALERT_INVARIANT(acc == events, "dispatch batch lost events");
-  return simulator.events_executed();
+};
+
+}  // namespace
+
+std::uint64_t run_dispatch_hold(std::size_t events) {
+  ALERT_INVARIANT(events >= kHoldPending,
+                  "hold kernel runs fewer events than it keeps pending");
+  HoldModel hold;
+  hold.successors_left = events - kHoldPending;
+  for (std::size_t i = 0; i < kHoldPending; ++i) {
+    hold.simulator.schedule_at(hold.delays.uniform(), [&hold] { hold.fire(); });
+  }
+  hold.simulator.run_until(std::numeric_limits<double>::infinity());
+  ALERT_INVARIANT(hold.simulator.events_executed() == events,
+                  "hold kernel lost events");
+  return hold.simulator.events_executed();
 }
 
 QueryTopology::QueryTopology(std::size_t node_count, std::uint64_t seed,
@@ -51,6 +76,66 @@ std::uint64_t QueryTopology::run_queries(std::size_t queries) const {
   return found;
 }
 
+std::uint64_t run_sha1_512b(std::size_t ops) {
+  const std::vector<std::uint8_t> data(512, 0xAB);
+  std::uint64_t checksum = 0;
+  for (std::size_t i = 0; i < ops; ++i) {
+    checksum += crypto::Sha1::hash(data)[0];
+  }
+  return checksum;
+}
+
+std::uint64_t run_xtea_ctr_512b(std::size_t ops) {
+  const auto key = crypto::SymmetricKey::from_seed(kKernelSeed);
+  std::vector<std::uint8_t> data(512, 0xCD);
+  std::uint64_t checksum = 0;
+  for (std::size_t nonce = 0; nonce < ops; ++nonce) {
+    crypto::xtea_ctr_apply(key, nonce, data);
+    checksum += data[0];
+  }
+  return checksum;
+}
+
+std::uint64_t run_rsa_encrypt(std::size_t ops) {
+  util::Rng rng(kKernelSeed);
+  const crypto::PublicKey pub = crypto::generate_keypair(rng).pub;
+  std::uint64_t m = 12345;
+  for (std::size_t i = 0; i < ops; ++i) {
+    m = crypto::rsa_encrypt_value(pub, m % pub.n);
+  }
+  return m;
+}
+
+std::uint64_t run_keygen(std::size_t ops) {
+  util::Rng rng(kKernelSeed);
+  std::uint64_t checksum = 0;
+  for (std::size_t i = 0; i < ops; ++i) {
+    checksum += crypto::generate_keypair(rng).pub.n;
+  }
+  return checksum;
+}
+
+RsaDecryptKernel::RsaDecryptKernel() {
+  util::Rng rng(kKernelSeed);
+  keys_.reserve(kKeys);
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    keys_.push_back(crypto::generate_keypair(rng).priv);
+  }
+  ciphertexts_.resize(kCiphertexts);
+  for (std::size_t i = 0; i < kCiphertexts; ++i) {
+    ciphertexts_[i] = rng.below(keys_[i % kKeys].n());
+  }
+}
+
+std::uint64_t RsaDecryptKernel::run(std::size_t ops) const {
+  std::uint64_t checksum = 0;
+  for (std::size_t i = 0; i < ops; ++i) {
+    const std::size_t c = i % kCiphertexts;
+    checksum += crypto::rsa_decrypt_value(keys_[c % kKeys], ciphertexts_[c]);
+  }
+  return checksum;
+}
+
 core::ScenarioConfig macro_scenario(std::size_t node_count,
                                     double duration_s) {
   core::ScenarioConfig config = campaign::paper_default_scenario();
@@ -73,17 +158,6 @@ core::ScenarioConfig scale_scenario(std::size_t node_count,
       std::sqrt(static_cast<double>(node_count) / 200.0) * 1000.0;
   config.field = util::Rect{0.0, 0.0, side, side};
   return config;
-}
-
-MacroRunStats run_macro_once(const core::ScenarioConfig& config) {
-  const core::RunResult run = core::run_once(config, 0);
-  MacroRunStats stats;
-  stats.events_executed = run.events_executed;
-  stats.delivered = run.delivered;
-  if (const obs::MetricValue* tx = run.metrics.find("net.tx")) {
-    stats.frames_tx = tx->total;
-  }
-  return stats;
 }
 
 }  // namespace alert::perf

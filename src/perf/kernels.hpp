@@ -1,23 +1,24 @@
 #pragma once
 
 /// \file kernels.hpp
-/// Deterministic workload kernels behind the pinned perf suite (suite.cpp)
-/// and the google-benchmark microbenches (bench/micro_benchmarks.cpp).
-/// Both front-ends drive the exact same fixed-seed code, so a
-/// google-benchmark exploration and the committed BENCH_core.json numbers
-/// measure one workload.
+/// Deterministic workload kernels behind the pinned perf suites
+/// (suite.cpp): event dispatch at the queue depth the simulator runs at,
+/// neighbour queries, the cipher primitives and the fig14a-style macro
+/// scenarios.
 ///
 /// Kernels are measurement-only: fixed seeds, no shared state, no packets
 /// opened outside run_once's audited lifecycle (teardown leaves every
 /// PacketLedger clean), and nothing here feeds determinism digests or
-/// campaign cache keys.
+/// campaign cache keys. Each op-count kernel returns a checksum of what it
+/// computed, which keeps the work observable to the optimiser.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
-#include "core/experiment.hpp"
 #include "core/scenario.hpp"
+#include "crypto/pubkey.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -27,11 +28,13 @@ namespace alert::perf {
 /// committed baselines).
 inline constexpr std::uint64_t kKernelSeed = 0xBE7CE5EEDULL;
 
-/// Event-dispatch batch: schedules `events` self-contained callbacks at
-/// strictly increasing times on a fresh Simulator and drains it. Returns
-/// the number executed (== events; the return value keeps the work
-/// observable). ns/op = wall time / events.
-std::uint64_t run_dispatch_batch(std::size_t events);
+/// Event-dispatch hold kernel on a fresh Simulator: 512 events pending, the
+/// depth of a paper-scale replication (each of the five protocols at 200
+/// nodes and 100 s keeps 455–479 pending on average, at most 489–538).
+/// Each fired event schedules its successor at a later time drawn from a
+/// kKernelSeed stream until `events` (>= 512) have been scheduled, then the
+/// queue drains. Returns the number executed (== events).
+std::uint64_t run_dispatch_hold(std::size_t events);
 
 /// A fixed-seed static topology for neighbour/range-query benchmarking:
 /// `node_count` nodes placed uniformly in a square field (the paper's
@@ -55,11 +58,34 @@ class QueryTopology {
   /// fixed-point regression check: the count depends only on the seed).
   [[nodiscard]] std::uint64_t run_queries(std::size_t queries) const;
 
-  [[nodiscard]] const net::Network& network() const { return *network_; }
-
  private:
   std::unique_ptr<sim::Simulator> simulator_;
   std::unique_ptr<net::Network> network_;
+};
+
+/// SHA-1 over 512 B, `ops` times.
+[[nodiscard]] std::uint64_t run_sha1_512b(std::size_t ops);
+/// XTEA-CTR over 512 B in place, one nonce per op.
+[[nodiscard]] std::uint64_t run_xtea_ctr_512b(std::size_t ops);
+/// RSA encryption, each op encrypting the previous op's ciphertext.
+[[nodiscard]] std::uint64_t run_rsa_encrypt(std::size_t ops);
+/// RSA key-pair generation from a kKernelSeed stream.
+[[nodiscard]] std::uint64_t run_keygen(std::size_t ops);
+
+/// RSA decryption over pre-generated keys. Cycles through 4096 ciphertexts
+/// under 256 keys: with one ciphertext under one key the branch predictor
+/// learns the exponent and the loop under-reports what a first-hop TTL
+/// unseal (a fresh key and ciphertext each time) costs.
+class RsaDecryptKernel {
+ public:
+  RsaDecryptKernel();
+  [[nodiscard]] std::uint64_t run(std::size_t ops) const;
+
+ private:
+  static constexpr std::size_t kKeys = 256;
+  static constexpr std::size_t kCiphertexts = 4096;
+  std::vector<crypto::PrivateKey> keys_;
+  std::vector<std::uint64_t> ciphertexts_;
 };
 
 /// The fig14a-style macro scenario at `node_count` nodes: the paper's
@@ -74,17 +100,5 @@ class QueryTopology {
 /// paper scale while the arena grows.
 [[nodiscard]] core::ScenarioConfig scale_scenario(std::size_t node_count,
                                                   double duration_s);
-
-/// What one timed macro replication produced (the throughput numerators).
-struct MacroRunStats {
-  std::uint64_t events_executed = 0;  ///< simulator events
-  std::uint64_t frames_tx = 0;        ///< net.tx counter (frames on air)
-  std::uint64_t delivered = 0;        ///< application packets delivered
-};
-
-/// Run one full replication of `config` (core::run_once, replication 0)
-/// and report the throughput counters. Deterministic: same config, same
-/// stats, same digest as any other run of the scenario.
-[[nodiscard]] MacroRunStats run_macro_once(const core::ScenarioConfig& config);
 
 }  // namespace alert::perf

@@ -4,8 +4,8 @@
 /// The committed perf artifact: a BenchReport is one suite's measured
 /// metrics plus the provenance needed to interpret them (git describe, host
 /// fingerprint, repeat counts). Serialized as schema "alertsim-bench/1" —
-/// the format of the repo-root baselines BENCH_core.json /
-/// BENCH_campaign.json that the CI perf-gate compares against
+/// the format of the repo-root baselines BENCH_core.json, BENCH_scale.json
+/// and BENCH_paper.json that the CI perf-gate compares against
 /// (tools/alertsim-perf, docs/BENCHMARKS.md).
 ///
 /// Each metric carries its own gate tolerance: the thresholds are part of
@@ -52,7 +52,7 @@ struct HostFingerprint {
 };
 
 struct BenchReport {
-  std::string suite;    ///< "core" | "campaign"
+  std::string suite;    ///< "core" | "scale" | "paper"
   std::string version;  ///< obs::build_version() (git describe)
   HostFingerprint host;
   std::vector<BenchMetric> metrics;  ///< sorted by name

@@ -1,30 +1,29 @@
 #pragma once
 
 /// \file suite.hpp
-/// The pinned benchmark suites behind the committed baselines:
+/// The pinned benchmark suites behind the committed baselines. Each answers
+/// a question the repository benchmark (alertbench) cannot commit:
 ///
-///   core      — event-dispatch ns/op, neighbour-query ns/op, fig14a-style
-///               macro throughput at paper scale (events/s, packets/s) and
-///               peak RSS → BENCH_core.json
-///   campaign  — campaign-engine scheduling throughput in units/s through
-///               the cold (execute + store) and warm (content-addressed
-///               cache replay) paths, and peak RSS → BENCH_campaign.json
-///   scale     — arena scale at paper density, where the network indexes
-///               nodes in the spatial grid: neighbour-query ns/op at 10k
-///               nodes, a fig14a-style 10k-node macro run (events/s), and
-///               peak RSS → BENCH_scale.json
-///   lint      — alertsim-analyzer wall time over a generated source tree
-///               of pinned shape (the real tree would drift as the repo
-///               grows), single-threaded, and peak RSS → BENCH_lint.json
+///   core   — the kernels: event dispatch at a paper-scale queue depth,
+///            neighbour query, SHA-1, XTEA-CTR, RSA encrypt/decrypt and key
+///            generation (ns/op), fig14a-style macro throughput at paper
+///            scale (events/s), and peak RSS → BENCH_core.json
+///   scale  — the 10k-node arena at paper density, where the network
+///            indexes nodes in the spatial grid: grid neighbour query
+///            (ns/op), a fig14a-style 10k-node macro run (events/s), and
+///            peak RSS → BENCH_scale.json
+///   paper  — reproducing the whole paper: wall time of every registry
+///            campaign at 1 rep on an emptied cache, as
+///            `alertsim-campaign --all --reps 1` runs them, and peak RSS
+///            → BENCH_paper.json
 ///
-/// "Pinned" means the workload shapes, seeds and repeat counts are fixed in
-/// suite.cpp: a measured number is only comparable against a baseline
-/// produced by the same pin (the schema's `version` records the producing
-/// commit). The smoke scale shrinks every workload for CI self-tests and
-/// unit tests; smoke numbers are not comparable against full-scale
-/// baselines (`--check` without `--current` measures fresh with whatever
-/// scale flag it was given — pass neither `--smoke` nor a smoke-scale
-/// `--current` when gating against the committed baselines).
+/// Peak RSS is the process's high-water mark, so a process measures one
+/// suite. "Pinned" means the workload shapes, seeds and repeat counts are
+/// fixed in suite.cpp: a measured number is only comparable against a
+/// baseline produced by the same pin (the schema's `version` records the
+/// producing commit). The smoke scale shrinks every workload for CI
+/// self-tests and unit tests; smoke numbers are not comparable against
+/// full-scale baselines.
 
 #include <optional>
 #include <string>
@@ -37,13 +36,13 @@
 namespace alert::perf {
 
 struct SuiteOptions {
-  /// Shrink every workload (~10x) and repeat count: wiring checks only.
+  /// Shrink every workload and repeat count: wiring checks only.
   bool smoke = false;
   /// Override every bench's repeat count (0 = per-bench pinned default).
   std::size_t repeats = 0;
-  /// Scratch directory for the campaign suite's result cache; "" = a
-  /// subdirectory of the system temp dir. Recreated cold, removed at the
-  /// end of the run.
+  /// Scratch directory for the paper suite's result cache and manifests;
+  /// "" = a subdirectory of the system temp dir. Emptied before every
+  /// repeat, removed at the end of the run.
   std::string work_dir;
 };
 

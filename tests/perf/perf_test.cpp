@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/manifest.hpp"
 #include "obs/resource.hpp"
@@ -13,6 +17,7 @@
 #include "perf/measure.hpp"
 #include "perf/report.hpp"
 #include "perf/suite.hpp"
+#include "temp_dir.hpp"
 
 namespace alert::perf {
 namespace {
@@ -300,7 +305,10 @@ TEST(Compare, RenderMentionsEveryMetricAndVerdict) {
 // --- kernels + suites (smoke scale) ----------------------------------------
 
 TEST(Kernels, DispatchBatchExecutesEveryEvent) {
-  EXPECT_EQ(run_dispatch_batch(1000), 1000u);
+  // The hold kernel keeps 512 events pending until its budget runs out;
+  // every event it schedules fires exactly once.
+  EXPECT_EQ(run_dispatch_hold(512), 512u);
+  EXPECT_EQ(run_dispatch_hold(5000), 5000u);
 }
 
 TEST(Kernels, QueryTopologyIsDeterministic) {
@@ -312,26 +320,46 @@ TEST(Kernels, QueryTopologyIsDeterministic) {
   EXPECT_EQ(found, a.run_queries(200));  // re-query: same centers, same count
 }
 
+/// The committed baseline of `suite`, read from the source tree (this file
+/// sits at tests/perf/ under the repository root).
+std::optional<BenchReport> committed_baseline(const std::string& suite) {
+  const std::filesystem::path root =
+      std::filesystem::path(__FILE__).parent_path().parent_path().parent_path();
+  return load_report_file((root / baseline_filename(suite)).string());
+}
+
 TEST(Suite, SmokeCoreSuiteProducesThePinnedMetrics) {
+  // Every suite measures exactly the rows its committed baseline gates, so
+  // a renamed or dropped row fails here rather than in CI's perf-gate.
+  const test_support::TempDir work("perf_suite");
   SuiteOptions options;
   options.smoke = true;
   options.repeats = 1;
-  const auto report = run_suite("core", options);
-  ASSERT_TRUE(report.has_value());
-  EXPECT_EQ(report->suite, "core");
-  EXPECT_FALSE(report->version.empty());
-  for (const char* name :
-       {"ns_per_event_dispatch", "ns_per_neighbour_query", "events_per_s",
-        "packets_per_s", "peak_rss_bytes"}) {
-    const BenchMetric* m = report->find(name);
-    ASSERT_NE(m, nullptr) << name;
-    EXPECT_GT(m->value, 0.0) << name;
-    EXPECT_GT(m->tolerance_pct, 0.0) << name;
+  options.work_dir = work.path();
+  for (const std::string& suite : suite_names()) {
+    const auto baseline = committed_baseline(suite);
+    ASSERT_TRUE(baseline.has_value()) << baseline_filename(suite);
+    EXPECT_EQ(baseline->suite, suite);
+    const auto report = run_suite(suite, options);
+    ASSERT_TRUE(report.has_value()) << suite;
+    EXPECT_EQ(report->suite, suite);
+    EXPECT_FALSE(report->version.empty());
+    std::vector<std::string> measured;
+    for (const BenchMetric& m : report->metrics) {
+      measured.push_back(m.name);
+      EXPECT_GT(m.value, 0.0) << suite << ' ' << m.name;
+      EXPECT_GT(m.tolerance_pct, 0.0) << suite << ' ' << m.name;
+    }
+    std::vector<std::string> committed;
+    for (const BenchMetric& m : baseline->metrics) committed.push_back(m.name);
+    EXPECT_EQ(measured, committed) << suite;
   }
 }
 
 TEST(Suite, UnknownSuiteIsRejected) {
-  EXPECT_FALSE(run_suite("nonsense", {}).has_value());
+  for (const char* name : {"nonsense", "campaign", "lint", "all"}) {
+    EXPECT_FALSE(run_suite(name, {}).has_value()) << name;
+  }
   EXPECT_EQ(baseline_filename("core"), "BENCH_core.json");
 }
 

@@ -1,13 +1,17 @@
 // alertsim-perf: the pinned benchmark driver behind the committed
-// BENCH_core.json / BENCH_campaign.json baselines and the CI perf-gate
-// (docs/BENCHMARKS.md). Three modes:
+// BENCH_core.json / BENCH_scale.json / BENCH_paper.json baselines and the CI
+// perf-gate (docs/BENCHMARKS.md). Three modes:
 //
-//   --run              measure one suite (or all) and write the reports
+//   --run              measure one suite and write its report
 //   --check BASELINE   measure the baseline's suite fresh (or read
 //                      --current FILE) and gate it against the baseline
 //                      with each metric's committed tolerance, widened by
 //                      --scale on noisy runners
-//   --update-baseline  re-measure and overwrite the repo-root baselines
+//   --update-baseline  re-measure one suite and overwrite its repo-root
+//                      baseline
+//
+// A process measures one suite: peak RSS is the process's high-water mark,
+// so a suite measured after another would record the earlier one's peak.
 //
 // Exit codes: 0 = pass, 1 = regression or missing metric, 2 = usage /
 // schema / I/O error. --self-check runs the whole pipeline at smoke scale
@@ -16,12 +20,13 @@
 //
 // Usage:
 //   alertsim-perf --list
-//   alertsim-perf --run [--suite core|campaign|scale|lint|all] [--out-dir DIR]
+//   alertsim-perf --run --suite core|scale|paper [--out-dir DIR]
 //   alertsim-perf --check BENCH_core.json [--scale 2.0] [--current FILE]
-//   alertsim-perf --update-baseline [--suite all] [--out-dir .]
-//   alertsim-perf --self-check [--work-dir DIR]
-//   Shared: [--smoke] [--repeats N] [--log-level L]
+//   alertsim-perf --update-baseline --suite NAME [--out-dir .]
+//   alertsim-perf --self-check
+//   Shared: [--smoke] [--work-dir DIR] [--log-level L]
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <optional>
@@ -45,24 +50,17 @@ int usage(const char* msg) {
       stderr,
       "usage: alertsim-perf (--list | --run | --check BASELINE |\n"
       "                      --update-baseline | --self-check)\n"
-      "       [--suite core|campaign|scale|lint|all] [--out-dir DIR] [--current FILE]\n"
-      "       [--scale X] [--smoke] [--repeats N] [--work-dir DIR]\n"
-      "       [--log-level L]\n");
+      "       [--suite core|scale|paper] [--out-dir DIR] [--current FILE]\n"
+      "       [--scale X] [--smoke] [--work-dir DIR] [--log-level L]\n");
   return 2;
-}
-
-std::vector<std::string> resolve_suites(const std::string& suite,
-                                        std::string* error) {
-  if (suite == "all") return perf::suite_names();
-  for (const std::string& name : perf::suite_names()) {
-    if (name == suite) return {name};
-  }
-  *error = "unknown suite '" + suite + "' (see --list)";
-  return {};
 }
 
 std::optional<perf::BenchReport> measure_suite(const std::string& suite,
                                                const perf::SuiteOptions& opts) {
+  const std::vector<std::string>& names = perf::suite_names();
+  if (std::find(names.begin(), names.end(), suite) == names.end()) {
+    return std::nullopt;
+  }
   std::fprintf(stderr, "alertsim-perf: measuring suite '%s'%s...\n",
                suite.c_str(), opts.smoke ? " (smoke scale)" : "");
   return perf::run_suite(suite, opts);
@@ -81,22 +79,22 @@ int render_gate(const std::string& suite, const perf::ComparisonReport& cmp) {
   return cmp.passed() ? 0 : 1;
 }
 
-int run_mode(const std::vector<std::string>& suites, const std::string& out_dir,
+int run_mode(const std::string& suite, const std::string& out_dir,
              const perf::SuiteOptions& opts) {
+  const auto report = measure_suite(suite, opts);
+  if (!report) {
+    return usage(("unknown suite '" + suite + "' (see --list)").c_str());
+  }
   std::error_code ec;
   fs::create_directories(out_dir, ec);
-  for (const std::string& suite : suites) {
-    const auto report = measure_suite(suite, opts);
-    if (!report) return usage(("suite '" + suite + "' failed").c_str());
-    const std::string path =
-        (fs::path(out_dir) / perf::baseline_filename(suite)).string();
-    if (!report->write_file(path)) {
-      std::fprintf(stderr, "alertsim-perf: cannot write %s\n", path.c_str());
-      return 2;
-    }
-    std::printf("wrote %s (%zu metrics, version %s)\n", path.c_str(),
-                report->metrics.size(), report->version.c_str());
+  const std::string path =
+      (fs::path(out_dir) / perf::baseline_filename(suite)).string();
+  if (!report->write_file(path)) {
+    std::fprintf(stderr, "alertsim-perf: cannot write %s\n", path.c_str());
+    return 2;
   }
+  std::printf("wrote %s (%zu metrics, version %s)\n", path.c_str(),
+              report->metrics.size(), report->version.c_str());
   return 0;
 }
 
@@ -220,7 +218,7 @@ int main(int argc, char** argv) {
   const bool update = args->get("update-baseline", false);
   const bool selfcheck = args->get("self-check", false);
   const std::string check = args->get("check", std::string());
-  const std::string suite = args->get("suite", std::string("all"));
+  const std::string suite = args->get("suite", std::string());
   const std::string out_dir =
       args->get("out-dir", std::string(update ? "." : "perf-out"));
   const std::string current = args->get("current", std::string());
@@ -228,7 +226,6 @@ int main(int argc, char** argv) {
 
   perf::SuiteOptions opts;
   opts.smoke = args->get("smoke", false);
-  const std::int64_t repeats = args->get("repeats", std::int64_t{0});
   opts.work_dir = args->get("work-dir", std::string());
 
   perf::CompareOptions compare;
@@ -240,8 +237,6 @@ int main(int argc, char** argv) {
   } else {
     return usage(("bad --log-level=" + log_level).c_str());
   }
-  if (repeats < 0) return usage("--repeats must be >= 0");
-  opts.repeats = static_cast<std::size_t>(repeats);
   if (compare.tolerance_scale <= 0.0) return usage("--scale must be > 0");
 
   const int modes = static_cast<int>(list) + static_cast<int>(run) +
@@ -262,7 +257,6 @@ int main(int argc, char** argv) {
   if (selfcheck) return self_check(opts.work_dir);
   if (!check.empty()) return check_mode(check, current, opts, compare);
 
-  std::vector<std::string> suites = resolve_suites(suite, &error);
-  if (suites.empty()) return usage(error.c_str());
-  return run_mode(suites, out_dir, opts);
+  if (suite.empty()) return usage("--run and --update-baseline need --suite");
+  return run_mode(suite, out_dir, opts);
 }

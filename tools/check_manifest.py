@@ -10,7 +10,8 @@ any python3, no installs.
 Usage:
   tools/check_manifest.py manifest.json [more.json ...]
   tools/check_manifest.py --trace run_trace.json manifest.json
-  tools/check_manifest.py --bench BENCH_core.json --bench BENCH_campaign.json
+  tools/check_manifest.py --bench BENCH_core.json --bench BENCH_scale.json \
+      --bench BENCH_paper.json
 
 Exit status: 0 = all files valid, 1 = validation failure, 2 = usage error.
 """
